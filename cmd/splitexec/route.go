@@ -28,7 +28,7 @@ func runRoute(args []string) {
 		shards   = fs.String("shards", "", "comma-separated backing service addresses (required)")
 		clients  = fs.Int("clients", 0, "dispatch connections per shard (0 = default)")
 		queue    = fs.Int("queue", 0, "per-shard queue depth (0 = default); full queues apply backpressure")
-		steal    = fs.Int("steal", 0, "backlog threshold above which jobs steal to the shortest queue (0 = default)")
+		steal    = fs.Int("steal", 0, "home backlog at which a job moves to the strictly shortest queue (0 disables stealing)")
 		retries  = fs.Int("retries", 0, "re-dispatch budget per job on shard loss (0 = default)")
 		backoff  = fs.Duration("backoff", 0, "base backoff between re-dispatch attempts (0 = default)")
 		ping     = fs.Duration("ping", 0, "health-check interval (0 = default, negative disables)")

@@ -15,9 +15,9 @@ import (
 // shard-key extraction and the full router→shard wire round trip —
 // compiling, running and visibly allocation-bounded.
 
-// benchFederation stands up n loopback shard services behind a router and
-// returns the router plus a teardown closure.
-func benchFederation(b *testing.B, n int) (*router.Router, func()) {
+// benchFederation stands up n loopback shard services behind a router with
+// the given steal threshold and returns the router plus a teardown closure.
+func benchFederation(b *testing.B, n, steal int) (*router.Router, func()) {
 	b.Helper()
 	addrs := make([]string, n)
 	svcs := make([]*service.Service, n)
@@ -33,7 +33,7 @@ func benchFederation(b *testing.B, n int) (*router.Router, func()) {
 		svcs[i] = svc
 		addrs[i] = addr.String()
 	}
-	rt, err := router.New(router.Options{Shards: addrs, PingEvery: -1})
+	rt, err := router.New(router.Options{Shards: addrs, StealThreshold: steal, PingEvery: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func BenchmarkRouterShardKey(b *testing.B) {
 // fabric: key → ring owner → shard queue → pooled wire client → service
 // round trip, over three loopback shards.
 func BenchmarkRouterDispatch(b *testing.B) {
-	rt, stop := benchFederation(b, 3)
+	rt, stop := benchFederation(b, 3, 0)
 	defer stop()
 	req := benchProfileReq(0)
 	b.ReportAllocs()
@@ -106,10 +106,10 @@ func BenchmarkRouterDispatch(b *testing.B) {
 }
 
 // BenchmarkRouterDispatchConcurrent drives the same path from parallel
-// submitters across all three classes, so queue contention and work
-// stealing are in the measured loop rather than idle.
+// submitters across all three classes with a steal threshold of 2, so queue
+// contention and work stealing are in the measured loop rather than idle.
 func BenchmarkRouterDispatchConcurrent(b *testing.B) {
-	rt, stop := benchFederation(b, 3)
+	rt, stop := benchFederation(b, 3, 2)
 	defer stop()
 	reqs := []service.SolveRequest{benchProfileReq(0), benchProfileReq(1), benchProfileReq(2)}
 	b.ReportAllocs()
@@ -119,10 +119,12 @@ func BenchmarkRouterDispatchConcurrent(b *testing.B) {
 		for pb.Next() {
 			resp, err := rt.Submit(reqs[i%len(reqs)])
 			if err != nil {
-				b.Fatal(err)
+				b.Error(err)
+				return
 			}
 			if !resp.OK {
-				b.Fatalf("refused: %s", resp.Error)
+				b.Errorf("refused: %s", resp.Error)
+				return
 			}
 			i++
 		}

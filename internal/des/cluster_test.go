@@ -9,8 +9,19 @@ import (
 	"testing"
 	"time"
 
+	"github.com/splitexec/splitexec/internal/ring"
 	"github.com/splitexec/splitexec/internal/workload"
 )
+
+// initialRing is the route table's ring over the scenario's initial shards;
+// with every slot routable, ring member i is shard i.
+func initialRing(sc *workload.Scenario) *ring.Ring {
+	slots := make([]int, sc.ShardCount())
+	for i := range slots {
+		slots[i] = i
+	}
+	return workload.NewRouteTable(slots, sc.Cluster.Replicas).Ring()
+}
 
 // clusterScenario is a three-class workload over a federated deployment:
 // shards × dedicated hosts, class-keyed consistent-hash routing.
@@ -83,7 +94,7 @@ func TestClusterHashAffinity(t *testing.T) {
 		t.Errorf("per-shard jobs sum %d != aggregate %d", sum, r.Jobs)
 	}
 	// Each class appears on exactly the shard the ring assigns it.
-	rg := sc.ClusterRing()
+	rg := initialRing(sc)
 	for class := range sc.Mix {
 		owner := rg.Owner(workload.ClassKey(class))
 		for x, st := range r.Shards {
@@ -121,7 +132,7 @@ func TestClusterStealingSpreadsLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	spread := 0
-	rg := stealing.ClusterRing()
+	rg := initialRing(stealing)
 	for class := range stealing.Mix {
 		owner := rg.Owner(workload.ClassKey(class))
 		for x, st := range rs.Shards {
@@ -144,7 +155,7 @@ func shardLossScenario(jobs int, seed int64) *workload.Scenario {
 	sc := clusterScenario(3, jobs, seed)
 	sc.Arrival.Rate = 6000 // ~80% utilization: hosts are busy at the death instant
 	sc.Cluster.StealThreshold = 8
-	victim := sc.ClusterRing().Owner(workload.ClassKey(0))
+	victim := initialRing(sc).Owner(workload.ClassKey(0))
 	sc.Faults = &workload.FaultSpec{
 		MaxRetries: 3,
 		Backoff:    workload.Duration(time.Millisecond),

@@ -16,18 +16,18 @@
 // matching the live fleet's channel semantics.
 //
 // Cluster scenarios (workload.ClusterSpec) replicate the deployment across
-// N shards behind the same consistent-hash ring the live router tier uses
-// (internal/ring): a job's class key resolves its home shard, a backlog
-// past the steal threshold diverts it to the least-loaded shard, and a
-// shard fault aborts the shard's in-flight jobs and re-dispatches them to
-// survivors against the scenario's retry budget — the simulator remains
-// the predictive twin of the federated system. Scheduled membership events
-// (ClusterSpec.Events) make the membership elastic: a join brings a fresh
-// shard's hosts and devices into the ring at a virtual time, a planned
-// drain removes a shard gracefully — queued work re-routes for free,
-// in-flight work completes — and hash ownership tracks the evolving member
-// set with bounded key movement (internal/ring's Moved diff predicts
-// exactly which keys change owner).
+// N shards routed by the same workload.RouteTable the live router tier
+// uses: a job's class key resolves its home shard on the consistent-hash
+// ring, a backlog at the steal threshold diverts it to a strictly shorter
+// one, and a shard fault aborts the shard's in-flight jobs and
+// re-dispatches them to survivors against the scenario's retry budget —
+// the simulator remains the predictive twin of the federated system.
+// Scheduled membership events (ClusterSpec.Events) make the membership
+// elastic: a join brings a fresh shard's hosts and devices into the ring at
+// a virtual time, a planned drain removes a shard gracefully — queued work
+// re-routes for free, in-flight work completes — and hash ownership tracks
+// the evolving member set with bounded key movement (internal/ring's Moved
+// diff predicts exactly which keys change owner).
 //
 // Costs are O(events · log events) on a binary heap keyed by (time, push
 // sequence), so identical scenarios replay byte-identical event logs at any
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"github.com/splitexec/splitexec/internal/arch"
-	"github.com/splitexec/splitexec/internal/ring"
 	"github.com/splitexec/splitexec/internal/sched"
 	"github.com/splitexec/splitexec/internal/stats"
 	"github.com/splitexec/splitexec/internal/workload"
@@ -253,11 +252,9 @@ type sim struct {
 	shards  []*simShard
 	cluster bool
 	steal   int
-	// rings caches the hash ring per shard-membership set, keyed by a
-	// 3-state pattern per slot — '1' present and up, '0' present but down,
-	// '.' absent — so arbitrary member sets (joins, drains, faults) each
-	// build their ring once.
-	rings map[string]*ring.Ring
+	// table routes cluster jobs over the available shards; retable
+	// rebuilds it whenever a shard's availability changes.
+	table *workload.RouteTable
 	// pending parks jobs that arrive while every shard is down; they
 	// re-route when one rejoins.
 	pending []*job
@@ -306,7 +303,6 @@ func Simulate(sc *workload.Scenario, opts Options) (*Result, error) {
 		opts:       opts,
 		cluster:    total > 1,
 		steal:      sc.StealThreshold(),
-		rings:      map[string]*ring.Ring{},
 		jobLimit:   sc.Horizon.Jobs,
 		timeLimit:  sc.Horizon.Duration.D(),
 		retryLimit: sc.RetryLimit(),
@@ -353,6 +349,9 @@ func Simulate(sc *workload.Scenario, opts Options) (*Result, error) {
 			}
 		}
 		s.shards = append(s.shards, sh)
+	}
+	if s.cluster {
+		s.retable()
 	}
 	if s.cluster && sc.HasShardFault() {
 		sf := sc.Faults.Shard
@@ -654,70 +653,28 @@ func (s *sim) routeJob(j *job) {
 	}
 }
 
-// route picks the dispatch shard for j, or nil when no shard is up.
+// route picks the dispatch shard for j through the route table, or nil when
+// no shard is up.
 func (s *sim) route(j *job) *simShard {
 	if !s.cluster {
 		return s.shards[0]
 	}
-	home := s.owner(workload.ClassKey(j.class))
-	if home == nil {
+	_, target := s.table.Route(workload.ClassKey(j.class), s.steal, func(x int) int { return s.shards[x].backlog.Len() })
+	if target < 0 {
 		return nil
 	}
-	if s.steal > 0 && home.backlog.Len() >= s.steal {
-		if alt := s.minBacklog(); alt != nil {
-			return alt
-		}
-	}
-	return home
+	return s.shards[target]
 }
 
-// owner resolves a shard key over the current available membership through
-// the cached consistent-hash ring — the identical computation the live
-// router makes, so both sides agree on every assignment.
-func (s *sim) owner(key string) *simShard {
-	mask := make([]byte, len(s.shards))
-	members := make([]string, 0, len(s.shards))
-	idxs := make([]int, 0, len(s.shards))
-	for i, sh := range s.shards {
-		switch {
-		case sh.avail():
-			mask[i] = '1'
-			members = append(members, workload.ShardName(i))
-			idxs = append(idxs, i)
-		case sh.present:
-			mask[i] = '0'
-		default:
-			mask[i] = '.'
-		}
-	}
-	if len(members) == 0 {
-		return nil
-	}
-	replicas := 0
-	if s.sc.Cluster != nil {
-		replicas = s.sc.Cluster.Replicas
-	}
-	r, ok := s.rings[string(mask)]
-	if !ok {
-		r = ring.New(members, replicas)
-		s.rings[string(mask)] = r
-	}
-	return s.shards[idxs[r.Owner(key)]]
-}
-
-// minBacklog is the steal target: the available shard with the shortest
-// backlog, ties broken on the lowest index.
-func (s *sim) minBacklog() *simShard {
-	var best *simShard
+// retable rebuilds the route table over the available shards.
+func (s *sim) retable() {
+	var slots []int
 	for _, sh := range s.shards {
-		if !sh.avail() {
-			continue
-		}
-		if best == nil || sh.backlog.Len() < best.backlog.Len() {
-			best = sh
+		if sh.avail() {
+			slots = append(slots, sh.idx)
 		}
 	}
-	return best
+	s.table = workload.NewRouteTable(slots, s.sc.Cluster.Replicas)
 }
 
 // shardDown kills a shard: every hosted job's attempt is aborted (stale
@@ -730,6 +687,7 @@ func (s *sim) shardDown(sh *simShard) {
 		return
 	}
 	sh.up = false
+	s.retable()
 	s.logShard(evShardDown, sh.idx)
 	hosted := sh.hosted
 	sh.hosted = nil
@@ -753,15 +711,7 @@ func (s *sim) shardDown(sh *simShard) {
 			s.push(s.now+s.backoff, evRoute, h)
 		}
 	}
-	// The backlog never reached a host: re-dispatch immediately, no retry
-	// consumed — the router still holds these jobs in its own queue.
-	for {
-		jb, ok := sh.backlog.Pop()
-		if !ok {
-			break
-		}
-		s.routeJob(jb)
-	}
+	s.reroute(sh)
 }
 
 // shardUp rejoins a dead shard: full host capacity, every up device free,
@@ -774,20 +724,8 @@ func (s *sim) shardUp(sh *simShard) {
 	}
 	sh.up = true
 	s.logShard(evShardUp, sh.idx)
-	if !sh.present {
-		return
-	}
-	sh.freeHosts = s.sys.Hosts
-	sh.devFree = sh.devFree[:0]
-	for d, up := range sh.devUp {
-		if up {
-			sh.devFree = append(sh.devFree, d)
-		}
-	}
-	pending := s.pending
-	s.pending = nil
-	for _, jb := range pending {
-		s.routeJob(jb)
+	if sh.present {
+		s.online(sh)
 	}
 }
 
@@ -801,9 +739,16 @@ func (s *sim) join(sh *simShard) {
 	}
 	sh.present = true
 	s.logShard(evJoin, sh.idx)
-	if !sh.up {
-		return
+	if sh.up {
+		s.online(sh)
 	}
+}
+
+// online puts a shard that just became available into service: the route
+// table gains it, its hosts and live devices free up, and any jobs parked
+// while no shard was up re-route.
+func (s *sim) online(sh *simShard) {
+	s.retable()
 	sh.freeHosts = s.sys.Hosts
 	sh.devFree = sh.devFree[:0]
 	for d, up := range sh.devUp {
@@ -827,12 +772,15 @@ func (s *sim) drainShard(sh *simShard) {
 		return
 	}
 	sh.present = false
+	s.retable()
 	s.logShard(evDrain, sh.idx)
-	for {
-		jb, ok := sh.backlog.Pop()
-		if !ok {
-			break
-		}
+	s.reroute(sh)
+}
+
+// reroute re-dispatches sh's backlog at once and consumes no retry: those
+// jobs never reached a host, so the router tier still holds them.
+func (s *sim) reroute(sh *simShard) {
+	for jb, ok := sh.backlog.Pop(); ok; jb, ok = sh.backlog.Pop() {
 		s.routeJob(jb)
 	}
 }

@@ -85,7 +85,7 @@ func TestClusterJoinMovesOnlyPredictedKeys(t *testing.T) {
 	}
 
 	// Per-class placement must match the ring diff exactly.
-	old := sc.ClusterRing()
+	old := initialRing(sc)
 	grown := old.With(workload.ShardName(2))
 	moved := ring.Moved(old, grown)
 	for class := range sc.Mix {
@@ -159,7 +159,7 @@ func TestClusterDrainGraceful(t *testing.T) {
 		}
 	}
 	// Survivors inherit the victim's classes per the ring diff.
-	full := sc.ClusterRing()
+	full := initialRing(sc)
 	rest := full.Without(victim)
 	moved := ring.Moved(full, rest)
 	for class := range sc.Mix {

@@ -35,7 +35,7 @@ func (r *Router) handleAdmin(a service.WireAdmin) service.SolveResponse {
 	default:
 		return service.SolveResponse{Error: fmt.Sprintf("router: unknown admin verb %q", a.Verb)}
 	}
-	reply.Epoch = r.epoch.Load()
+	reply.Epoch = r.Epoch()
 	return service.SolveResponse{OK: true, Admin: reply}
 }
 

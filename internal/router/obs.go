@@ -26,12 +26,12 @@ func (r *Router) initObs() {
 	reg.CounterFunc("splitexec_router_evictions_total",
 		func() float64 { return float64(r.evicted.Load()) })
 	reg.GaugeFunc("splitexec_router_epoch",
-		func() float64 { return float64(r.epoch.Load()) })
+		func() float64 { return float64(r.Epoch()) })
 	reg.CounterFunc("splitexec_router_keys_moved_total",
 		func() float64 { return float64(r.keysMoved.Load()) })
 	reg.CounterFunc("splitexec_router_warmed_total",
 		func() float64 { return float64(r.warmed.Load()) })
-	for _, sh := range r.shards {
+	for _, sh := range r.snapshot() {
 		r.registerShardObs(sh)
 	}
 }
@@ -58,7 +58,7 @@ func (r *Router) registerShardObs(sh *shard) {
 		})
 	reg.GaugeFunc(obs.Label("splitexec_router_shard_in_ring", "shard", lbl),
 		func() float64 {
-			if sh.ringState() != '.' {
+			if sh.isInRing() {
 				return 1
 			}
 			return 0

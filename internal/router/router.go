@@ -21,12 +21,12 @@
 // flight. The admin wire verbs (service.WireAdmin: add/remove/drain/status)
 // drive all of this remotely via `splitexec admin`.
 //
-// The routing computation — ring membership, shard keys, steal rule — is
-// shared with the discrete-event simulator (internal/des), which makes the
-// DES the predictive twin of the federated system: a cluster scenario's
-// predicted shard assignment is the one this router realizes, and
-// internal/ring's Moved diff predicts exactly the keys a membership change
-// re-homes.
+// The routing decision — hash ownership over the routable shards and the
+// steal rule — is workload.RouteTable, the same code the discrete-event
+// simulator (internal/des) routes with, which makes the DES the predictive
+// twin of the federated system: a cluster scenario's predicted shard
+// assignment is the one this router realizes, and internal/ring's Moved
+// diff predicts exactly the keys a membership change re-homes.
 package router
 
 import (
@@ -84,8 +84,10 @@ type Options struct {
 	// service's own intake.
 	QueueDepth int
 	// StealThreshold enables cross-shard work stealing: a job whose home
-	// shard's queue has reached this length goes to the shortest queue
-	// instead (ties on the lowest shard index). Zero disables stealing.
+	// shard's queue has reached this length goes to the strictly shortest
+	// queue, the lowest shard index among equals; a home that ties the
+	// shortest queue keeps the job (workload.RouteTable.Route). Zero
+	// disables stealing.
 	StealThreshold int
 	// MaxRetries is the re-dispatch budget a job may consume when shards
 	// fail under it (default workload.DefaultMaxRetries); Backoff is the
@@ -183,7 +185,8 @@ type shard struct {
 	mu sync.Mutex
 	// up is fault state (health probes, FailShard); inRing is membership
 	// (AddShard flips it on after warm-up, DrainShard/RemoveShard off). The
-	// shard takes traffic only when both hold.
+	// shard takes traffic only when both hold. Both are written under r.mu
+	// and sh.mu together, so either lock suffices to read them.
 	up      bool
 	inRing  bool
 	removed bool
@@ -200,7 +203,10 @@ type shard struct {
 	probeAfter time.Time
 
 	dispatched atomic.Int64
-	inflight   sync.WaitGroup // jobs handed to workers, for graceful drain
+	// inflight is read-held across each round trip; DrainShard takes it
+	// for writing to wait out the round trips in progress. A WaitGroup
+	// cannot do this: workers Add from zero while DrainShard waits.
+	inflight sync.RWMutex
 }
 
 // down returns the channel a blocked enqueue watches.
@@ -216,20 +222,10 @@ func (sh *shard) isUp() bool {
 	return sh.up
 }
 
-// ringState is the shard's membership mask byte: '1' routable, '0' in the
-// ring but down (a fault, expected back), '.' absent (never joined, drained
-// or removed) — the same 3-state key the DES's ring cache uses.
-func (sh *shard) ringState() byte {
+func (sh *shard) isInRing() bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	switch {
-	case sh.inRing && sh.up:
-		return '1'
-	case sh.inRing:
-		return '0'
-	default:
-		return '.'
-	}
+	return sh.inRing
 }
 
 // register tracks a worker's client so FailShard can interrupt its I/O.
@@ -250,11 +246,13 @@ func (sh *shard) unregister(c *service.Client) {
 type Router struct {
 	opts Options
 
-	// mu guards shards (append-only; AddShard copies the backing array so
-	// snapshots stay iterable without the lock) and rings.
-	mu     sync.Mutex
-	shards []*shard
-	rings  map[string]*ring.Ring // 3-state membership pattern → ring
+	// mu serializes membership changes: every shard's up/inRing flip and
+	// each publish of routes that follows it. Lock order is r.mu before
+	// sh.mu.
+	mu sync.Mutex
+	// routes is the routing state, written under mu and read without a
+	// lock.
+	routes atomic.Pointer[routes]
 
 	// Hot-key memory for warm-up: the most recent distinct QUBO routing
 	// keys and their requests, FIFO-evicted at hotKeyCap.
@@ -271,7 +269,6 @@ type Router struct {
 	stop     chan struct{}
 	closed   bool
 
-	epoch        atomic.Int64 // membership epoch; bumps per add/drain/remove
 	keysMoved    atomic.Int64
 	warmed       atomic.Int64
 	stolen       atomic.Int64
@@ -282,14 +279,40 @@ type Router struct {
 	seq          atomic.Int64 // dispatch sequence; router span IDs
 }
 
+// routes is one immutable routing state: the shard table, the route table
+// over its routable members, and the membership epoch they belong to. pick
+// reads all three from one atomic load, so a job's target and its epoch
+// stamp always come from the same membership.
+type routes struct {
+	// shards is append-only across states: AddShard copies the backing
+	// array, so a published slice stays iterable.
+	shards []*shard
+	table  *workload.RouteTable
+	// epoch bumps on every administrative membership change (add, drain,
+	// remove), never on a health eviction.
+	epoch int64
+}
+
+// publishLocked rebuilds the route table from the shards' up and inRing
+// flags and publishes it with shards and epoch. Caller holds r.mu.
+func (r *Router) publishLocked(shards []*shard, epoch int64) {
+	var slots []int
+	for _, sh := range shards {
+		if sh.up && sh.inRing {
+			slots = append(slots, sh.idx)
+		}
+	}
+	r.routes.Store(&routes{
+		shards: shards,
+		table:  workload.NewRouteTable(slots, r.opts.Replicas),
+		epoch:  epoch,
+	})
+}
+
 // snapshot returns the current shard table for lock-free iteration: the
 // slice is never mutated in place (AddShard appends onto a fresh backing
 // array), and shard pointers are stable for the router's lifetime.
-func (r *Router) snapshot() []*shard {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shards
-}
+func (r *Router) snapshot() []*shard { return r.routes.Load().shards }
 
 // New builds a router over the given shard addresses and starts its
 // dispatch workers and health loop. Call Drain to shut it down.
@@ -297,6 +320,21 @@ func New(opts Options) (*Router, error) {
 	if len(opts.Shards) == 0 {
 		return nil, errors.New("router: no shard addresses")
 	}
+	r := build(opts)
+	for _, sh := range r.snapshot() {
+		r.startShard(sh)
+	}
+	r.initObs()
+	if r.opts.PingEvery > 0 {
+		r.healthWG.Add(1)
+		go r.healthLoop()
+	}
+	return r, nil
+}
+
+// build applies the option defaults and provisions the initial shards in
+// the ring, without starting workers or the health loop.
+func build(opts Options) *Router {
 	if opts.ClientsPerShard <= 0 {
 		opts.ClientsPerShard = DefaultClientsPerShard
 	}
@@ -323,23 +361,17 @@ func New(opts Options) (*Router, error) {
 	}
 	r := &Router{
 		opts:    opts,
-		rings:   map[string]*ring.Ring{},
 		hotKeys: map[string]service.SolveRequest{},
 		conns:   map[net.Conn]struct{}{},
 		stop:    make(chan struct{}),
 	}
+	shards := make([]*shard, len(opts.Shards))
 	for i, addr := range opts.Shards {
-		sh := r.newShard(i, addr)
-		sh.inRing = true
-		r.shards = append(r.shards, sh)
-		r.startShard(sh)
+		shards[i] = r.newShard(i, addr)
+		shards[i].inRing = true
 	}
-	r.initObs()
-	if opts.PingEvery > 0 {
-		r.healthWG.Add(1)
-		go r.healthLoop()
-	}
-	return r, nil
+	r.publishLocked(shards, 0)
+	return r
 }
 
 // newShard builds a shard record outside the ring (AddShard flips inRing
@@ -507,51 +539,24 @@ func (r *Router) dispatch(pj *pjob) error {
 	}
 }
 
-// pick resolves the dispatch shard for a job's key: hash ownership over the
-// up members, diverted by the steal rule — the identical computation
-// internal/des makes for cluster scenarios. It records the job's routing
-// metadata (hash home, steal diversion) as a side effect, so the span and
-// the wire response cite the same decision the counters aggregate.
+// pick resolves the dispatch shard for a job's key through the published
+// route table, without locking or allocating. It records the job's routing
+// metadata (hash home, steal diversion, epoch) as a side effect, so the
+// span and the wire response cite the same decision the counters
+// aggregate.
 func (r *Router) pick(pj *pjob) *shard {
-	key := pj.key
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	mask := make([]byte, len(r.shards))
-	members := make([]string, 0, len(r.shards))
-	idxs := make([]int, 0, len(r.shards))
-	for i, sh := range r.shards {
-		mask[i] = sh.ringState()
-		if mask[i] == '1' {
-			members = append(members, workload.ShardName(i))
-			idxs = append(idxs, i)
-		}
-	}
-	if len(members) == 0 {
+	rt := r.routes.Load()
+	home, target := rt.table.Route(pj.key, r.opts.StealThreshold, func(i int) int { return len(rt.shards[i].queue) })
+	if target < 0 {
 		return nil
 	}
-	rg, ok := r.rings[string(mask)]
-	if !ok {
-		rg = ring.New(members, r.opts.Replicas)
-		r.rings[string(mask)] = rg
+	pj.home, pj.epoch = home, rt.epoch
+	if target != home {
+		r.stolen.Add(1)
+		pj.stolen = true
+		pj.span.Event(obs.StageSteal)
 	}
-	home := r.shards[idxs[rg.Owner(key)]]
-	pj.home = home.idx
-	pj.epoch = r.epoch.Load()
-	if t := r.opts.StealThreshold; t > 0 && len(home.queue) >= t {
-		best := home
-		for _, i := range idxs {
-			if sh := r.shards[i]; len(sh.queue) < len(best.queue) {
-				best = sh
-			}
-		}
-		if best != home {
-			r.stolen.Add(1)
-			pj.stolen = true
-			pj.span.Event(obs.StageSteal)
-			return best
-		}
-	}
-	return home
+	return rt.shards[target]
 }
 
 // worker drains one shard's queue through its own TCP client. A client that
@@ -587,9 +592,9 @@ func (r *Router) worker(sh *shard) {
 			c = nc
 			sh.register(c)
 		}
-		sh.inflight.Add(1)
+		sh.inflight.RLock()
 		resp, err := c.Do(pj.req)
-		sh.inflight.Done()
+		sh.inflight.RUnlock()
 		if err == nil || resp.Error != "" {
 			// Success, or a server-side refusal — either way the shard
 			// answered; forward the response with the routing decision
@@ -652,26 +657,31 @@ func (r *Router) requeue(pj *pjob) {
 	}()
 }
 
-// markDown takes a shard out of the ring: blocked enqueues re-pick, queued
-// jobs drain to the survivors, and in-flight clients are closed so blocked
-// round trips fail over immediately.
+// markDown takes a shard out of the ring: the route table drops it, blocked
+// enqueues re-pick, queued jobs drain to the survivors, and in-flight
+// clients are closed so blocked round trips fail over immediately. The
+// table is published before blocked enqueues wake and before the queue
+// drains, so re-picked and requeued jobs cannot land back on the dead shard.
 func (r *Router) markDown(sh *shard) {
+	r.mu.Lock()
 	sh.mu.Lock()
 	if !sh.up {
 		sh.mu.Unlock()
+		r.mu.Unlock()
 		return
 	}
 	sh.up = false
+	cur := r.routes.Load()
+	r.publishLocked(cur.shards, cur.epoch)
 	r.evicted.Add(1)
 	close(sh.downCh)
 	clients := make([]*service.Client, 0, len(sh.clients))
 	for c := range sh.clients {
 		clients = append(clients, c)
 	}
-	for c := range sh.clients {
-		delete(sh.clients, c)
-	}
+	clear(sh.clients)
 	sh.mu.Unlock()
+	r.mu.Unlock()
 	// Interrupt in-flight round trips: the workers see ErrClientClosed and
 	// walk the re-dispatch path.
 	for _, c := range clients {
@@ -680,6 +690,12 @@ func (r *Router) markDown(sh *shard) {
 	// Drain whatever is queued; the workers would requeue these one at a
 	// time, but draining here frees the queue for blocked producers at
 	// once.
+	r.requeueQueued(sh)
+}
+
+// requeueQueued re-dispatches every job waiting in sh's queue; none reached
+// the shard, so no retry budget is consumed.
+func (r *Router) requeueQueued(sh *shard) {
 	for {
 		select {
 		case pj := <-sh.queue:
@@ -694,6 +710,8 @@ func (r *Router) markDown(sh *shard) {
 
 // markUp re-admits a revived shard: new down channel, fresh membership.
 func (r *Router) markUp(sh *shard) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	sh.mu.Lock()
 	if sh.up || sh.removed {
 		sh.mu.Unlock()
@@ -702,6 +720,8 @@ func (r *Router) markUp(sh *shard) {
 	sh.up = true
 	sh.downCh = make(chan struct{})
 	sh.mu.Unlock()
+	cur := r.routes.Load()
+	r.publishLocked(cur.shards, cur.epoch)
 }
 
 // FailShard forces shard i down, exactly as a failed health check would —
@@ -743,7 +763,8 @@ func (r *Router) RemoveShard(i int) error {
 	sh.inRing = false
 	sh.mu.Unlock()
 	if wasInRing {
-		r.epoch.Add(1)
+		cur := r.routes.Load()
+		r.publishLocked(cur.shards, cur.epoch+1)
 	}
 	r.mu.Unlock()
 	r.markDown(sh)
@@ -775,26 +796,26 @@ func (r *Router) AddShard(addr string) (idx, warmed int, err error) {
 	}
 
 	r.mu.Lock()
-	idx = len(r.shards)
+	cur := r.routes.Load()
+	idx = len(cur.shards)
 	sh := r.newShard(idx, addr)
 	// Full-capacity reslice forces append onto a fresh backing array, so
-	// snapshots taken before this point stay safely iterable.
-	r.shards = append(r.shards[:idx:idx], sh)
-	old := r.availRingLocked()
+	// snapshots taken before this point stay safely iterable. The shard is
+	// visible to snapshot readers but not yet routable.
+	r.publishLocked(append(cur.shards[:idx:idx], sh), cur.epoch)
+	old := cur.table.Ring()
 	r.mu.Unlock()
 
 	r.registerShardObs(sh)
 	r.startShard(sh)
-	if old != nil {
-		moved := ring.Moved(old, old.With(workload.ShardName(idx)))
-		warmed = r.warm(sh, moved)
-	}
+	warmed = r.warm(sh, ring.Moved(old, old.With(workload.ShardName(idx))))
 
 	r.mu.Lock()
 	sh.mu.Lock()
 	sh.inRing = true
 	sh.mu.Unlock()
-	r.epoch.Add(1)
+	cur = r.routes.Load()
+	r.publishLocked(cur.shards, cur.epoch+1)
 	r.mu.Unlock()
 	return idx, warmed, nil
 }
@@ -811,63 +832,36 @@ func (r *Router) DrainShard(i int) error {
 	}
 	sh := shards[i]
 	r.mu.Lock()
+	cur := r.routes.Load()
 	inRing := 0
-	for _, s := range shards {
-		if s.ringState() != '.' {
+	for _, s := range cur.shards {
+		if s.inRing {
 			inRing++
 		}
 	}
-	sh.mu.Lock()
 	if !sh.inRing {
-		sh.mu.Unlock()
 		r.mu.Unlock()
 		return fmt.Errorf("router: shard %d already drained or removed", i)
 	}
 	if inRing <= 1 {
-		sh.mu.Unlock()
 		r.mu.Unlock()
 		return fmt.Errorf("router: cannot drain the last shard")
 	}
+	sh.mu.Lock()
 	sh.inRing = false
 	sh.removed = true // the health loop must not resurrect it
 	sh.mu.Unlock()
-	r.epoch.Add(1)
+	r.publishLocked(cur.shards, cur.epoch+1)
 	r.mu.Unlock()
 
-	// Re-dispatch the queue: these jobs never reached the shard, so no
-	// retry budget is consumed. Workers keep serving anything a pre-flip
-	// pick still enqueues — those jobs complete under their old epoch.
-	drainQueue := func() {
-		for {
-			select {
-			case pj := <-sh.queue:
-				if pj != nil {
-					r.requeue(pj)
-				}
-			default:
-				return
-			}
-		}
-	}
-	drainQueue()
-	sh.inflight.Wait()
-	drainQueue() // sweep stragglers enqueued during the in-flight wait
+	// Re-dispatch the queue for free. Workers keep serving anything a
+	// pre-flip pick still enqueues — those jobs complete under their old
+	// epoch.
+	r.requeueQueued(sh)
+	sh.inflight.Lock() // wait out the round trips in progress
+	sh.inflight.Unlock()
+	r.requeueQueued(sh) // sweep stragglers enqueued during the in-flight wait
 	return nil
-}
-
-// availRingLocked builds the hash ring over the currently routable members,
-// or nil when none are. Caller holds r.mu.
-func (r *Router) availRingLocked() *ring.Ring {
-	members := make([]string, 0, len(r.shards))
-	for i, sh := range r.shards {
-		if sh.ringState() == '1' {
-			members = append(members, workload.ShardName(i))
-		}
-	}
-	if len(members) == 0 {
-		return nil
-	}
-	return ring.New(members, r.opts.Replicas)
 }
 
 // recordHot remembers the latest request per QUBO routing key, the working
@@ -1011,7 +1005,7 @@ func (r *Router) Stats() Stats {
 		Requeued:     r.requeued.Load(),
 		Failed:       r.failedJobs.Load(),
 		Evicted:      r.evicted.Load(),
-		Epoch:        r.epoch.Load(),
+		Epoch:        r.Epoch(),
 		KeysMoved:    r.keysMoved.Load(),
 		Warmed:       r.warmed.Load(),
 	}
@@ -1022,7 +1016,7 @@ func (r *Router) Stats() Stats {
 }
 
 // Epoch is the current membership epoch.
-func (r *Router) Epoch() int64 { return r.epoch.Load() }
+func (r *Router) Epoch() int64 { return r.routes.Load().epoch }
 
 // Up reports per-shard fault state (true = answering probes / not failed).
 func (r *Router) Up() []bool {
@@ -1039,7 +1033,7 @@ func (r *Router) InRing() []bool {
 	shards := r.snapshot()
 	out := make([]bool, len(shards))
 	for i, sh := range shards {
-		out[i] = sh.ringState() != '.'
+		out[i] = sh.isInRing()
 	}
 	return out
 }

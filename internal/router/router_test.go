@@ -38,11 +38,15 @@ func startShards(t *testing.T, n int) ([]string, []*service.Service) {
 	return addrs, svcs
 }
 
-// clusterRing is the scenario-side ring for a cluster of n — the one the
-// DES routes with, which the router must agree with.
+// clusterRing is the route table's ring over n routable shards — the one
+// the DES routes with, which the router must agree with. Ring member i is
+// shard i.
 func clusterRing(n int) *ring.Ring {
-	sc := &workload.Scenario{Cluster: &workload.ClusterSpec{Shards: n}}
-	return sc.ClusterRing()
+	slots := make([]int, n)
+	for i := range slots {
+		slots[i] = i
+	}
+	return workload.NewRouteTable(slots, 0).Ring()
 }
 
 func profileReq(class int) service.SolveRequest {

@@ -3,9 +3,9 @@
 // consistent-hash router tier — the regime of the ROADMAP's
 // millions-of-users north star, where one node's worth of hosts and QPUs
 // (the paper's Fig. 1 unit) is the building block, not the system. The
-// shard-key derivation lives here so the discrete-event simulator and the
-// live router (internal/router) resolve byte-identical shard assignments
-// from the same ring.
+// shard-key derivation and the route table live here so the discrete-event
+// simulator and the live router (internal/router) make one routing
+// decision from the same code.
 package workload
 
 import (
@@ -45,10 +45,10 @@ type ClusterSpec struct {
 	// SystemSpec (Hosts workers, QPUs() devices).
 	Shards int `json:"shards"`
 	// StealThreshold enables cross-shard work stealing: a job whose home
-	// shard's backlog has reached this length is dispatched to the shard
-	// with the shortest backlog instead (ties break on the lowest shard
-	// index, keeping the decision deterministic). Zero disables stealing —
-	// jobs always follow hash ownership.
+	// shard's backlog has reached this length goes to the shard with the
+	// strictly shortest backlog, the lowest index among equals; a home
+	// that ties the shortest backlog keeps the job (RouteTable.Route).
+	// Zero disables stealing — jobs always follow hash ownership.
 	StealThreshold int `json:"stealThreshold,omitempty"`
 	// Replicas is the ring's virtual-node count per shard; zero selects
 	// ring.DefaultReplicas.
@@ -154,17 +154,57 @@ func ShardName(i int) string { return fmt.Sprintf("shard-%d", i) }
 // for QUBO classes) stays pinned to one home shard.
 func ClassKey(class int) string { return fmt.Sprintf("class-%d", class) }
 
-// ClusterRing builds the scenario's full-membership hash ring, or nil for
-// single-node scenarios.
-func (sc *Scenario) ClusterRing() *ring.Ring {
-	if sc.Cluster == nil {
-		return nil
+// RouteTable is the one routing decision the discrete-event simulator and
+// the live router share: an immutable consistent-hash ring over the
+// routable shard slots plus the steal rule. Both rebuild their table when
+// membership changes (a shard goes down or comes back, joins or drains)
+// and route every job through Route, so their assignments agree by
+// construction rather than by keeping two copies in step.
+type RouteTable struct {
+	slots []int      // routable slots, ascending; ring member i is slots[i]
+	ring  *ring.Ring // over ShardName(slot), in slot order
+}
+
+// NewRouteTable builds the table over the routable slots, given in
+// ascending order, with replicas virtual nodes per shard (0 selects
+// ring.DefaultReplicas). The table keeps slots; callers must not reuse it.
+func NewRouteTable(slots []int, replicas int) *RouteTable {
+	names := make([]string, len(slots))
+	for i, s := range slots {
+		names[i] = ShardName(s)
 	}
-	members := make([]string, sc.Cluster.Shards)
-	for i := range members {
-		members[i] = ShardName(i)
+	return &RouteTable{slots: slots, ring: ring.New(names, replicas)}
+}
+
+// Ring is the table's hash ring over the routable slots; its member i is
+// the i-th routable slot.
+func (t *RouteTable) Ring() *ring.Ring { return t.ring }
+
+// Route resolves key to its home slot, the ring owner, and the target slot
+// the job is dispatched to. With steal > 0 and a home backlog of at least
+// steal, the job moves to the routable slot with the strictly shortest
+// backlog, the lowest slot among equals; a home that ties the shortest
+// backlog keeps the job. backlog is consulted only when steal > 0. Both are
+// -1 when no slot is routable.
+func (t *RouteTable) Route(key string, steal int, backlog func(slot int) int) (home, target int) {
+	if len(t.slots) == 0 {
+		return -1, -1
 	}
-	return ring.New(members, sc.Cluster.Replicas)
+	home = t.slots[t.ring.Owner(key)]
+	target = home
+	if steal <= 0 {
+		return home, target
+	}
+	shortest := backlog(home)
+	if shortest < steal {
+		return home, target
+	}
+	for _, s := range t.slots {
+		if b := backlog(s); b < shortest {
+			target, shortest = s, b
+		}
+	}
+	return home, target
 }
 
 // HasShardFault reports whether the scenario kills a shard mid-run.
