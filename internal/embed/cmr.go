@@ -17,7 +17,6 @@
 package embed
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -31,7 +30,7 @@ type Options struct {
 	// MaxTries is the number of independent randomized restarts before the
 	// embedder gives up. Default 10.
 	MaxTries int
-	// MaxIterations bounds the improvement sweeps per try. Default 10.
+	// MaxIterations bounds the improvement sweeps per try. Default 24.
 	MaxIterations int
 	// PenaltyBase is the base of the exponential vertex-reuse penalty that
 	// drives chains apart during refinement. Default 8.
@@ -112,12 +111,7 @@ func cmrTry(g, hw *graph.Graph, rng *rand.Rand, opts Options, stats *Stats) (gra
 	}
 	sortStable(order, func(a, b int) bool { return g.Degree(a) > g.Degree(b) })
 
-	st := &cmrState{
-		g: g, hw: hw, rng: rng, opts: opts, stats: stats,
-		vm:      make(graph.VertexModel, n),
-		usage:   make([]int, hw.Order()),
-		penalty: opts.PenaltyBase,
-	}
+	st := newCMRState(g, hw, rng, opts, stats)
 
 	// Phase 1: initial embedding, overlaps permitted under penalty.
 	for _, x := range order {
@@ -165,14 +159,45 @@ func sortStable(a []int, less func(x, y int) bool) {
 	}
 }
 
+// cmrState is one try's working state. Its scratch buffers are reused by
+// every Dijkstra run of the try; searches that share one hardware graph
+// share nothing else.
 type cmrState struct {
-	g, hw   *graph.Graph
-	rng     *rand.Rand
-	opts    Options
-	stats   *Stats
-	vm      graph.VertexModel
-	usage   []int   // how many chains currently use each hardware vertex
-	penalty float64 // current reuse penalty base (escalates per sweep)
+	g, hw *graph.Graph
+	rng   *rand.Rand
+	opts  Options
+	stats *Stats
+	vm    graph.VertexModel
+	usage []int     // how many chains currently use each hardware vertex
+	cost  []float64 // vertexCost of each hardware vertex at its current usage
+
+	// Scratch of multiSourceDijkstra and embedVertex, one slot per hardware
+	// vertex.
+	dist      []float64
+	parent    []int
+	pq        distHeap
+	total     []float64
+	reachable []bool
+}
+
+// newCMRState returns the state of an empty embedding: no chains, every
+// qubit unused.
+func newCMRState(g, hw *graph.Graph, rng *rand.Rand, opts Options, stats *Stats) *cmrState {
+	nh := hw.Order()
+	st := &cmrState{
+		g: g, hw: hw, rng: rng, opts: opts, stats: stats,
+		vm:        make(graph.VertexModel, g.Order()),
+		usage:     make([]int, nh),
+		cost:      make([]float64, nh),
+		dist:      make([]float64, nh),
+		parent:    make([]int, nh),
+		total:     make([]float64, nh),
+		reachable: make([]bool, nh),
+	}
+	for q := range st.cost {
+		st.cost[q] = st.vertexCost(q)
+	}
+	return st
 }
 
 func (st *cmrState) overlapCount() int {
@@ -188,6 +213,7 @@ func (st *cmrState) overlapCount() int {
 func (st *cmrState) removeChain(x int) {
 	for _, q := range st.vm[x] {
 		st.usage[q]--
+		st.cost[q] = st.vertexCost(q)
 	}
 	delete(st.vm, x)
 }
@@ -196,15 +222,19 @@ func (st *cmrState) addChain(x int, chain []int) {
 	st.vm[x] = chain
 	for _, q := range chain {
 		st.usage[q]++
+		st.cost[q] = st.vertexCost(q)
 	}
 }
 
-// vertexCost is the exponential reuse penalty for routing through q.
+// vertexCost is the exponential reuse penalty for routing through q at its
+// current usage. The search reads it from st.cost, which addChain and
+// removeChain keep equal to it by calling it again, never by scaling an
+// entry by the base: that would round differently and change embeddings.
 func (st *cmrState) vertexCost(q int) float64 {
 	if st.hw.Degree(q) == 0 {
 		return math.Inf(1) // dead/isolated qubit
 	}
-	return math.Pow(st.penalty, float64(st.usage[q]))
+	return math.Pow(st.opts.PenaltyBase, float64(st.usage[q]))
 }
 
 // embedVertex (re)computes the chain for logical vertex x given the chains of
@@ -227,9 +257,9 @@ func (st *cmrState) embedVertex(x int) {
 	}
 
 	nh := st.hw.Order()
-	total := make([]float64, nh)
-	reachable := make([]bool, nh)
+	total, reachable := st.total, st.reachable
 	for i := range reachable {
+		total[i] = 0
 		reachable[i] = true
 	}
 	for _, u := range embedded {
@@ -248,7 +278,7 @@ func (st *cmrState) embedVertex(x int) {
 		if !reachable[q] {
 			continue
 		}
-		c := total[q] + st.vertexCost(q)
+		c := total[q] + st.cost[q]
 		if c < bestCost {
 			best, bestCost = q, c
 		}
@@ -311,8 +341,7 @@ func (st *cmrState) embedVertex(x int) {
 // breaking ties randomly.
 func (st *cmrState) cheapestQubit() int {
 	best, bestCost, count := 0, math.Inf(1), 0
-	for q := 0; q < st.hw.Order(); q++ {
-		c := st.vertexCost(q)
+	for q, c := range st.cost {
 		if c < bestCost {
 			best, bestCost, count = q, c, 1
 		} else if c == bestCost {
@@ -328,42 +357,45 @@ func (st *cmrState) cheapestQubit() int {
 // multiSourceDijkstra computes, for every hardware vertex q, the cheapest
 // cost of a path from the source chain to q where entering vertex v costs
 // vertexCost(v); source-chain vertices cost 0 to stand on. parent pointers
-// trace back to a source vertex (parent = -1 at sources).
+// trace back to a source vertex (parent = -1 at sources). The returned
+// slices are st's buffers: the next run overwrites them.
 func (st *cmrState) multiSourceDijkstra(sources []int) (dist []float64, parent []int) {
 	st.stats.DijkstraRuns++
-	nh := st.hw.Order()
-	dist = make([]float64, nh)
-	parent = make([]int, nh)
+	dist, parent, cost := st.dist, st.parent, st.cost
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = -1
 	}
-	h := &floatPQ{}
+	pq := st.pq[:0]
 	for _, s := range sources {
 		dist[s] = 0
-		heap.Push(h, floatItem{v: s, dist: 0})
+		pq.push(distItem{v: s, dist: 0})
 	}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(floatItem)
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.dist > dist[it.v] {
 			continue
 		}
-		for _, u := range st.hw.Neighbors(it.v) {
-			st.stats.RelaxedEdges++
-			nd := it.dist + st.vertexCost(u)
+		ns := st.hw.Neighbors(it.v)
+		st.stats.RelaxedEdges += len(ns)
+		for _, u := range ns {
+			nd := it.dist + cost[u]
 			if nd < dist[u] {
 				dist[u] = nd
 				parent[u] = it.v
-				heap.Push(h, floatItem{v: u, dist: nd})
+				pq.push(distItem{v: u, dist: nd})
 			}
 		}
 	}
+	st.pq = pq
 	return dist, parent
 }
 
 // prune removes unnecessary vertices from every chain: a chain vertex is
 // dropped when the remaining chain stays connected and all logical edges
-// remain realized. Greedy, one pass per chain, highest-degree-last order.
+// remain realized. Greedy: chains are taken in logical vertex order, each
+// chain's vertices in index order, and the scan of a chain restarts from its
+// first vertex after every removal, since one removal can enable another.
 func prune(g, hw *graph.Graph, vm graph.VertexModel) {
 	for x := 0; x < g.Order(); x++ {
 		chain := vm[x]
@@ -411,23 +443,51 @@ func edgesStillRealized(g, hw *graph.Graph, vm graph.VertexModel, x int, candida
 	return true
 }
 
-type floatItem struct {
+// distItem is a Dijkstra frontier entry.
+type distItem struct {
 	v    int
 	dist float64
 }
 
-type floatPQ []floatItem
+// distHeap is a binary min-heap of frontier entries by dist. push and pop
+// compare and swap exactly as container/heap's Push and Pop do, so entries
+// of equal dist leave in the same order and the search's parent pointers,
+// and with them every chain, are the same as with container/heap.
+type distHeap []distItem
 
-func (p floatPQ) Len() int            { return len(p) }
-func (p floatPQ) Less(i, j int) bool  { return p[i].dist < p[j].dist }
-func (p floatPQ) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *floatPQ) Push(x interface{}) { *p = append(*p, x.(floatItem)) }
-func (p *floatPQ) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+func (h *distHeap) push(it distItem) {
+	*h = append(*h, it)
+	a := *h
+	for j := len(a) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(a[j].dist < a[i].dist) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		j = i
+	}
+}
+
+func (h *distHeap) pop() distItem {
+	a := *h
+	n := len(a) - 1
+	a[0], a[n] = a[n], a[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && a[j2].dist < a[j].dist {
+			j = j2 // right child
+		}
+		if !(a[j].dist < a[i].dist) {
+			break
+		}
+		a[i], a[j] = a[j], a[i]
+		i = j
+	}
+	*h = a[:n]
+	return a[n]
 }
 
 func sortInts(a []int) {

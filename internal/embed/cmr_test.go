@@ -2,6 +2,8 @@ package embed
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -198,5 +200,62 @@ func TestPruneShortensChains(t *testing.T) {
 	}
 	if len(vm[0]) != 1 {
 		t.Errorf("chain not pruned to singleton: %v", vm[0])
+	}
+}
+
+// The search reads reuse penalties from a table that addChain and
+// removeChain maintain. Every entry must equal math.Pow(PenaltyBase, usage)
+// exactly, as the search computed it before the table existed; updating
+// entries by multiplying or dividing by the base would round differently
+// for a base like 1.3 once usage reaches 3.
+func TestCostTableTracksUsage(t *testing.T) {
+	hw := graph.Chimera{M: 2, N: 2, L: 4}.Graph()
+	hw.RemoveVertex(5) // a dead qubit costs +Inf at any usage
+	g := graph.Complete(8)
+	var stats Stats
+	opts := Options{PenaltyBase: 1.3}.withDefaults()
+	st := newCMRState(g, hw, rand.New(rand.NewSource(1)), opts, &stats)
+	check := func(step string) {
+		t.Helper()
+		for q, c := range st.cost {
+			want := math.Pow(1.3, float64(st.usage[q]))
+			if q == 5 {
+				want = math.Inf(1)
+			}
+			if c != want {
+				t.Fatalf("%s: cost[%d] = %v at usage %d, want %v", step, q, c, st.usage[q], want)
+			}
+		}
+	}
+	check("reset")
+	rng := rand.New(rand.NewSource(2))
+	for step := 0; step < 400; step++ {
+		x := rng.Intn(g.Order())
+		if len(st.vm[x]) > 0 {
+			st.removeChain(x)
+		} else {
+			// Overlapping chains drive shared qubits' usage up to 8.
+			st.addChain(x, []int{rng.Intn(3), 3 + rng.Intn(3), 6 + rng.Intn(2)})
+		}
+		check(fmt.Sprintf("step %d", step))
+	}
+}
+
+// BenchmarkFindEmbeddingSparse times one CMR search per op on the
+// benchmark's input shape: connected graphs of 10–16 vertices and degree at
+// most 3 into C(8,8,4) with 20 tries, graph i mod 28 with seed i.
+func BenchmarkFindEmbeddingSparse(b *testing.B) {
+	hw := graph.Vesuvius().Graph()
+	rng := rand.New(rand.NewSource(1))
+	gs := make([]*graph.Graph, 28)
+	for i := range gs {
+		gs[i] = sparseTestGraph(rng, 10+i%7)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := FindEmbedding(gs[i%len(gs)], hw, rand.New(rand.NewSource(int64(i))), Options{MaxTries: 20}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -57,31 +57,48 @@ func (c Chimera) Coordinate(q int) (row, col, shore, k int) {
 	return
 }
 
-// Graph materializes the Chimera topology as a Graph.
+// Graph materializes the Chimera topology as a Graph. It writes each
+// qubit's sorted neighbor list straight into one backing array: a
+// left-shore qubit's neighbors are the one above it, its cell's right shore
+// and the one below; a right-shore qubit's are the one to its left, its
+// cell's left shore and the one to its right. Indices ascend in that order.
 func (c Chimera) Graph() *Graph {
 	g := New(c.Qubits())
+	backing := make([]int, 0, c.Qubits()*(c.L+2))
+	rowStride := 2 * c.L * c.N // index distance between vertically adjacent cells
+	q := 0
 	for r := 0; r < c.M; r++ {
 		for col := 0; col < c.N; col++ {
-			// Intra-cell complete bipartite K_{L,L}.
-			for i := 0; i < c.L; i++ {
-				for j := 0; j < c.L; j++ {
-					g.AddEdge(c.Index(r, col, 0, i), c.Index(r, col, 1, j))
+			cell := q
+			for shore := 0; shore < 2; shore++ {
+				// Left-shore qubits couple vertically, right-shore ones
+				// horizontally.
+				before, after, stride := r > 0, r+1 < c.M, rowStride
+				if shore == 1 {
+					before, after, stride = col > 0, col+1 < c.N, 2*c.L
 				}
-			}
-			// Vertical couplers on the left shore.
-			if r+1 < c.M {
+				other := cell + (1-shore)*c.L // first qubit of the opposite shore
 				for k := 0; k < c.L; k++ {
-					g.AddEdge(c.Index(r, col, 0, k), c.Index(r+1, col, 0, k))
-				}
-			}
-			// Horizontal couplers on the right shore.
-			if col+1 < c.N {
-				for k := 0; k < c.L; k++ {
-					g.AddEdge(c.Index(r, col, 1, k), c.Index(r, col+1, 1, k))
+					start := len(backing)
+					if before {
+						backing = append(backing, q-stride)
+					}
+					// Intra-cell complete bipartite K_{L,L}.
+					for j := 0; j < c.L; j++ {
+						backing = append(backing, other+j)
+					}
+					if after {
+						backing = append(backing, q+stride)
+					}
+					// Capped at its length, so growing one list reallocates
+					// it instead of overwriting the next.
+					g.adj[q] = backing[start:len(backing):len(backing)]
+					q++
 				}
 			}
 		}
 	}
+	g.m = len(backing) / 2
 	return g
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -155,5 +156,49 @@ func TestChimeraRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// chimeraByEdges builds the Chimera topology one coupler at a time: the
+// reference that Graph's direct fill must reproduce.
+func chimeraByEdges(c Chimera) *Graph {
+	g := New(c.Qubits())
+	for r := 0; r < c.M; r++ {
+		for col := 0; col < c.N; col++ {
+			for i := 0; i < c.L; i++ {
+				for j := 0; j < c.L; j++ {
+					g.AddEdge(c.Index(r, col, 0, i), c.Index(r, col, 1, j))
+				}
+			}
+			for k := 0; k < c.L && r+1 < c.M; k++ {
+				g.AddEdge(c.Index(r, col, 0, k), c.Index(r+1, col, 0, k))
+			}
+			for k := 0; k < c.L && col+1 < c.N; k++ {
+				g.AddEdge(c.Index(r, col, 1, k), c.Index(r, col+1, 1, k))
+			}
+		}
+	}
+	return g
+}
+
+func TestChimeraGraphMatchesEdgeByEdge(t *testing.T) {
+	for _, c := range []Chimera{{0, 3, 4}, {1, 1, 1}, {1, 1, 4}, {1, 5, 2}, {4, 1, 3}, {3, 5, 4}, {8, 8, 4}, {12, 12, 4}} {
+		got, want := c.Graph(), chimeraByEdges(c)
+		if !got.Equal(want) || got.Size() != want.Size() {
+			t.Fatalf("%v: direct fill %v differs from edge-by-edge %v", c, got, want)
+		}
+		for v := 0; v < got.Order(); v++ {
+			if !sort.IntsAreSorted(got.Neighbors(v)) {
+				t.Fatalf("%v: neighbors of %d unsorted: %v", c, v, got.Neighbors(v))
+			}
+		}
+		// Lists share one backing array: growing one must not touch the next.
+		if n := got.Order(); n >= 2 {
+			got.AddEdge(0, n)
+			want.AddEdge(0, n)
+			if !got.Equal(want) {
+				t.Fatalf("%v: growing vertex 0's list disturbed another", c)
+			}
+		}
 	}
 }

@@ -38,10 +38,10 @@ func (e Edge) Other(v int) int {
 }
 
 // Graph is an undirected simple graph over vertices 0..n-1 stored as sorted
-// adjacency lists. The zero value is an empty graph with no vertices.
+// adjacency lists, one per vertex. The zero value is an empty graph with no
+// vertices.
 type Graph struct {
-	adj map[int][]int
-	n   int
+	adj [][]int // adj[v] is v's sorted neighbor list; len(adj) is the order
 	m   int
 }
 
@@ -50,25 +50,25 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
 	}
-	return &Graph{adj: make(map[int][]int, n), n: n}
+	return &Graph{adj: make([][]int, n)}
 }
 
 // Order returns the number of vertices.
-func (g *Graph) Order() int { return g.n }
+func (g *Graph) Order() int { return len(g.adj) }
 
 // Size returns the number of edges.
 func (g *Graph) Size() int { return g.m }
 
 // HasVertex reports whether v is a vertex of g.
-func (g *Graph) HasVertex(v int) bool { return v >= 0 && v < g.n }
+func (g *Graph) HasVertex(v int) bool { return v >= 0 && v < len(g.adj) }
 
 // AddVertex grows the vertex set so that v is a valid vertex, returning the
 // new order of the graph.
 func (g *Graph) AddVertex(v int) int {
-	if v >= g.n {
-		g.n = v + 1
+	if v >= len(g.adj) {
+		g.adj = append(g.adj, make([][]int, v+1-len(g.adj))...)
 	}
-	return g.n
+	return len(g.adj)
 }
 
 // AddEdge inserts the undirected edge {u,v}. It is a no-op for self-loops and
@@ -82,9 +82,6 @@ func (g *Graph) AddEdge(u, v int) {
 	}
 	g.AddVertex(u)
 	g.AddVertex(v)
-	if g.adj == nil {
-		g.adj = make(map[int][]int)
-	}
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
 	g.m++
@@ -102,26 +99,29 @@ func (g *Graph) RemoveEdge(u, v int) {
 
 // HasEdge reports whether the undirected edge {u,v} is present.
 func (g *Graph) HasEdge(u, v int) bool {
-	if g.adj == nil {
-		return false
-	}
-	a := g.adj[u]
+	a := g.Neighbors(u)
 	i := sort.SearchInts(a, v)
 	return i < len(a) && a[i] == v
 }
 
-// Degree returns the number of neighbors of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+// Degree returns the number of neighbors of v (0 if v is not a vertex).
+func (g *Graph) Degree(v int) int { return len(g.Neighbors(v)) }
 
-// Neighbors returns the sorted neighbor list of v. The returned slice is
-// shared with the graph and must not be modified.
-func (g *Graph) Neighbors(v int) []int { return g.adj[v] }
+// Neighbors returns the sorted neighbor list of v, or nil if v is not a
+// vertex. The returned slice is shared with the graph and must not be
+// modified.
+func (g *Graph) Neighbors(v int) []int {
+	if v < 0 || v >= len(g.adj) {
+		return nil
+	}
+	return g.adj[v]
+}
 
 // Edges returns all edges, normalized and sorted lexicographically.
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.m)
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
+	for u, ns := range g.adj {
+		for _, v := range ns {
 			if u < v {
 				es = append(es, Edge{U: u, V: v})
 			}
@@ -132,7 +132,7 @@ func (g *Graph) Edges() []Edge {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
-	c := New(g.n)
+	c := New(len(g.adj))
 	c.m = g.m
 	for v, ns := range g.adj {
 		c.adj[v] = append([]int(nil), ns...)
@@ -154,9 +154,15 @@ func (g *Graph) MaxDegree() int {
 // RemoveVertex deletes all edges incident to v. The vertex identifier itself
 // remains valid (graphs use a dense vertex space), but becomes isolated.
 func (g *Graph) RemoveVertex(v int) {
-	for _, u := range append([]int(nil), g.adj[v]...) {
-		g.RemoveEdge(u, v)
+	ns := g.Neighbors(v)
+	if len(ns) == 0 {
+		return
 	}
+	for _, u := range ns {
+		g.adj[u] = removeSorted(g.adj[u], v)
+	}
+	g.m -= len(ns)
+	g.adj[v] = ns[:0]
 }
 
 // InducedSubgraph returns the subgraph induced by keep, relabeled to
@@ -169,7 +175,7 @@ func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int) {
 	}
 	sub := New(len(keep))
 	for i, v := range keep {
-		for _, u := range g.adj[v] {
+		for _, u := range g.Neighbors(v) {
 			if j, ok := index[u]; ok && i < j {
 				sub.AddEdge(i, j)
 			}
@@ -181,12 +187,12 @@ func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int) {
 
 // String renders a short human-readable summary.
 func (g *Graph) String() string {
-	return fmt.Sprintf("graph{n=%d m=%d}", g.n, g.m)
+	return fmt.Sprintf("graph{n=%d m=%d}", len(g.adj), g.m)
 }
 
 // Equal reports whether g and h have identical vertex counts and edge sets.
 func (g *Graph) Equal(h *Graph) bool {
-	if g.n != h.n || g.m != h.m {
+	if len(g.adj) != len(h.adj) || g.m != h.m {
 		return false
 	}
 	for v, ns := range g.adj {
@@ -205,12 +211,12 @@ func (g *Graph) Equal(h *Graph) bool {
 
 // AdjacencyMatrix returns the dense 0/1 adjacency matrix of g.
 func (g *Graph) AdjacencyMatrix() [][]float64 {
-	a := make([][]float64, g.n)
+	a := make([][]float64, len(g.adj))
 	for i := range a {
-		a[i] = make([]float64, g.n)
+		a[i] = make([]float64, len(g.adj))
 	}
-	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
+	for u, ns := range g.adj {
+		for _, v := range ns {
 			a[u][v] = 1
 		}
 	}

@@ -125,9 +125,15 @@ func DW2X1152() QPU {
 	return q
 }
 
-// WorkingGraph returns the fault-pruned hardware graph.
+// WorkingGraph returns the fault-pruned hardware graph. Without faults it is
+// the freshly built topology itself: there is nothing to prune, and no other
+// holder to protect with Apply's copy.
 func (q QPU) WorkingGraph() *graph.Graph {
-	return q.Faults.Apply(q.Topology.Graph())
+	hw := q.Topology.Graph()
+	if len(q.Faults.DeadQubits) == 0 && len(q.Faults.DeadCouplers) == 0 {
+		return hw
+	}
+	return q.Faults.Apply(hw)
 }
 
 // Node is the asymmetric multi-processor node of Fig. 1(a): host CPU plus

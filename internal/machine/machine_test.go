@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/splitexec/splitexec/internal/aspen"
+	"github.com/splitexec/splitexec/internal/graph"
 )
 
 func TestXeonRates(t *testing.T) {
@@ -70,6 +71,36 @@ func TestWorkingGraphAppliesFaults(t *testing.T) {
 	}
 	if g.Order() != 512 {
 		t.Errorf("order = %d", g.Order())
+	}
+}
+
+func TestWorkingGraphWithoutFaults(t *testing.T) {
+	q := DW2Vesuvius()
+	a, b := q.WorkingGraph(), q.WorkingGraph()
+	if !a.Equal(q.Topology.Graph()) {
+		t.Fatal("fault-free working graph differs from the topology")
+	}
+	// Each call builds its own graph: a caller mutating one affects no other.
+	a.RemoveVertex(5)
+	if b.Degree(5) == 0 || !b.Equal(q.Topology.Graph()) {
+		t.Error("working graphs share state")
+	}
+	// A coupler-only fault model is still applied.
+	q.Faults.DeadCouplers = []graph.Edge{{U: 0, V: 4}}
+	if g := q.WorkingGraph(); g.HasEdge(0, 4) || g.Size() != q.Topology.Couplers()-1 {
+		t.Error("dead coupler still wired")
+	}
+}
+
+// BenchmarkWorkingGraph times the per-job build of the fault-free C(8,8,4)
+// working graph that core.NewSolver performs.
+func BenchmarkWorkingGraph(b *testing.B) {
+	q := DW2Vesuvius()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if q.WorkingGraph().Order() != 512 {
+			b.Fatal("wrong order")
+		}
 	}
 }
 

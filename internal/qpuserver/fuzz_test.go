@@ -56,18 +56,20 @@ func FuzzDecodeProgram(f *testing.F) {
 	f.Add([]byte(`{"op":"program","dim":4,"h":{"9":1}}`))
 	f.Add([]byte(`{"op":"program","dim":4,"j":[{"U":0,"V":0,"Val":1}]}`))
 	f.Add([]byte(`{"op":"program","dim":1e9}`))
+	f.Add([]byte(`{"op":"program","dim":10000000000}`)) // 80 GB of biases from 34 bytes
+	f.Add([]byte(`{"op":"program","dim":65537,"h":{"65536":1}}`))
 	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var req Request
 		if err := json.Unmarshal(payload, &req); err != nil {
 			return // not a Request; DecodeProgram's contract starts at a Request
 		}
-		if req.Dim > 1<<16 {
-			return // hostile allocation sizes are the server limit's job (MaxMessageBytes)
-		}
 		m, err := DecodeProgram(req)
 		if err != nil {
 			return
+		}
+		if req.Dim > MaxProgramDim {
+			t.Fatalf("decoded dim %d above MaxProgramDim", req.Dim)
 		}
 		if m.Dim() != req.Dim {
 			t.Fatalf("decoded dim %d != request dim %d", m.Dim(), req.Dim)

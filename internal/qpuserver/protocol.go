@@ -27,6 +27,14 @@ import (
 // server from hostile or corrupt length prefixes.
 const MaxMessageBytes = 16 << 20
 
+// MaxProgramDim bounds the spin count of an OpProgram request. Biases and
+// couplings travel sparse, so a request's dim costs it no payload bytes and
+// MaxMessageBytes does not bound it: DecodeProgram rejects a larger dim
+// before it allocates the model. 65536 spins is far beyond every modeled
+// topology (C(12,12,4) has 1152 qubits); a server additionally rejects any
+// program larger than its own hardware graph.
+const MaxProgramDim = 1 << 16
+
 // Op enumerates protocol operations.
 type Op string
 
@@ -122,6 +130,9 @@ func ProgramRequest(m *qubo.Ising) Request {
 func DecodeProgram(req Request) (*qubo.Ising, error) {
 	if req.Dim < 0 {
 		return nil, fmt.Errorf("qpuserver: negative dim %d", req.Dim)
+	}
+	if req.Dim > MaxProgramDim {
+		return nil, fmt.Errorf("qpuserver: dim %d exceeds limit %d", req.Dim, MaxProgramDim)
 	}
 	m := qubo.NewIsing(req.Dim)
 	m.Offset = req.Offset

@@ -75,6 +75,12 @@ func TestDecodeProgramValidation(t *testing.T) {
 	if _, err := DecodeProgram(Request{Dim: 2, J: []CouplingTriple{{U: 0, V: 7, Val: 1}}}); err == nil {
 		t.Error("out-of-range coupling accepted")
 	}
+	if _, err := DecodeProgram(Request{Dim: MaxProgramDim + 1}); err == nil {
+		t.Error("dim above MaxProgramDim accepted")
+	}
+	if m, err := DecodeProgram(Request{Dim: MaxProgramDim}); err != nil || m.Dim() != MaxProgramDim {
+		t.Errorf("dim MaxProgramDim rejected: %v", err)
+	}
 }
 
 func TestMessageFraming(t *testing.T) {
