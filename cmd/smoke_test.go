@@ -1,8 +1,8 @@
-// Package cmd holds end-to-end smoke tests for the repository's binaries:
-// each command is built with the real toolchain and driven through a fast
-// flag configuration, pinning exit status and the shape of its output. The
-// long-running servers (qpud, splitexec serve) are additionally probed over
-// their TCP interfaces before being shut down.
+// Package cmd holds end-to-end smoke tests for the repository's one binary:
+// splitexec is built with the real toolchain and each subcommand is driven
+// through a fast flag configuration, pinning exit status and the shape of
+// its output. The long-running servers (splitexec qpud, splitexec serve)
+// are additionally probed over their TCP interfaces before being shut down.
 package cmd
 
 import (
@@ -33,14 +33,12 @@ func TestMain(m *testing.M) {
 		os.Exit(1)
 	}
 	binDir = dir
-	for _, name := range []string{"splitexec", "figures", "aspeneval", "qpud"} {
-		cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, name), "./"+name)
-		cmd.Dir = "." // the cmd/ directory
-		if out, err := cmd.CombinedOutput(); err != nil {
-			fmt.Fprintf(os.Stderr, "building %s: %v\n%s", name, err, out)
-			os.RemoveAll(binDir)
-			os.Exit(1)
-		}
+	cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, "splitexec"), "./splitexec")
+	cmd.Dir = "." // the cmd/ directory
+	if out, err := cmd.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building splitexec: %v\n%s", err, out)
+		os.RemoveAll(binDir)
+		os.Exit(1)
 	}
 	code := m.Run()
 	os.RemoveAll(binDir)
@@ -75,20 +73,41 @@ func TestSplitexecPartitionSmoke(t *testing.T) {
 	}
 }
 
+// TestSplitexecUnknownSubcommand pins that a mistyped subcommand is
+// rejected with exit status 2 and the list of valid subcommands, instead
+// of falling through to the default solve.
+func TestSplitexecUnknownSubcommand(t *testing.T) {
+	cmd := exec.Command(filepath.Join(binDir, "splitexec"), "figurs")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("splitexec figurs: err = %v, want exit status 2\nstdout:\n%s", err, stdout.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("splitexec figurs wrote to stdout:\n%s", stdout.String())
+	}
+	for _, want := range []string{"figurs", "aspen", "figures", "qpud", "serve", "storm"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+		}
+	}
+}
+
 func TestFiguresSmoke(t *testing.T) {
-	out := run(t, "figures", "-fig", "9b")
+	out := run(t, "splitexec", "figures", "-fig", "9b")
 	if !strings.Contains(out, "Fig 9(b)") || !strings.Contains(out, "accuracy\treads\tmodel_s") {
-		t.Errorf("figures -fig 9b output unexpected:\n%s", out)
+		t.Errorf("splitexec figures -fig 9b output unexpected:\n%s", out)
 	}
 	if lines := strings.Count(out, "\n"); lines < 5 {
-		t.Errorf("figures -fig 9b printed only %d lines", lines)
+		t.Errorf("splitexec figures -fig 9b printed only %d lines", lines)
 	}
 }
 
 func TestAspenevalSmoke(t *testing.T) {
-	out := run(t, "aspeneval", "-stage", "1", "-param", "LPS=30")
+	out := run(t, "splitexec", "aspen", "-stage", "1", "-param", "LPS=30")
 	if !strings.Contains(out, "model Stage1") || !strings.Contains(out, "total predicted runtime") {
-		t.Errorf("aspeneval output unexpected:\n%s", out)
+		t.Errorf("splitexec aspen output unexpected:\n%s", out)
 	}
 }
 
@@ -139,7 +158,7 @@ func (w *lockedWriter) Write(p []byte) (int, error) {
 func TestQpudSmoke(t *testing.T) {
 	addr := startServer(t,
 		regexp.MustCompile(`serving simulated QPU on (\S+)`),
-		"qpud", "-addr", "127.0.0.1:0", "-m", "4", "-ncols", "4", "-sweeps", "16")
+		"splitexec", "qpud", "-addr", "127.0.0.1:0", "-m", "4", "-ncols", "4", "-sweeps", "16")
 	c, err := qpuserver.DialTimeout(addr, 5*time.Second)
 	if err != nil {
 		t.Fatalf("dial %s: %v", addr, err)
@@ -150,7 +169,7 @@ func TestQpudSmoke(t *testing.T) {
 		t.Fatalf("status: %v", err)
 	}
 	if !resp.OK || resp.Programmed {
-		t.Errorf("fresh qpud status = %+v", resp)
+		t.Errorf("fresh splitexec qpud status = %+v", resp)
 	}
 }
 

@@ -1,20 +1,3 @@
-// Command aspeneval parses and evaluates ASPEN performance models: either
-// one of the paper's built-in stage listings (Figs. 6–8) or a model file,
-// against either the paper's Fig. 5 machine (SimpleNode) or a machine
-// declared in the same file.
-//
-// Usage:
-//
-//	aspeneval -stage 1 -param LPS=30
-//	aspeneval -stage 2 -param Accuracy=99 -param Success=0.7
-//	aspeneval -file model.aspen -machine MyMachine -param N=64
-//
-// With one or more -sweep flags the command switches from single-point
-// evaluation to a parallel design-space sweep over the cartesian product
-// of the axes, printing a TSV table and the cheapest point:
-//
-//	aspeneval -stage 1 -sweep LPS=10:100:19
-//	aspeneval -stage 3 -sweep LPS=log:1:1000:13 -sweep Success=0.5:0.9:5 -workers 4
 package main
 
 import (
@@ -85,21 +68,29 @@ func (a *axisList) Set(s string) error {
 	return nil
 }
 
-func main() {
+// runAspen is the `splitexec aspen` subcommand: it parses and evaluates
+// ASPEN performance models, either one of the paper's built-in stage
+// listings (Figs. 6–8) or a model file, against either the paper's Fig. 5
+// machine (SimpleNode) or a machine declared in the same file. With one or
+// more -sweep flags it switches from single-point evaluation to a parallel
+// design-space sweep over the cartesian product of the axes, printing a
+// TSV table and the cheapest point.
+func runAspen(args []string) {
+	fs := flag.NewFlagSet("splitexec aspen", flag.ExitOnError)
 	params := paramList{}
 	axes := axisList{}
 	var (
-		stage       = flag.Int("stage", 0, "evaluate the paper's stage listing (1, 2 or 3)")
-		file        = flag.String("file", "", "evaluate a model from this ASPEN file")
-		modelName   = flag.String("model", "", "model name when the file has several")
-		machineName = flag.String("machine", "", "machine declared in the file (default: paper's SimpleNode)")
-		host        = flag.String("host", "", "socket servicing flops/loads/stores (default: first)")
-		overlap     = flag.Bool("overlap", false, "assume perfect overlap within execute blocks (max instead of sum)")
-		workers     = flag.Int("workers", 0, "sweep worker pool size (0 = all cores)")
+		stage       = fs.Int("stage", 0, "evaluate the paper's stage listing (1, 2 or 3)")
+		file        = fs.String("file", "", "evaluate a model from this ASPEN file")
+		modelName   = fs.String("model", "", "model name when the file has several")
+		machineName = fs.String("machine", "", "machine declared in the file (default: paper's SimpleNode)")
+		host        = fs.String("host", "", "socket servicing flops/loads/stores (default: first)")
+		overlap     = fs.Bool("overlap", false, "assume perfect overlap within execute blocks (max instead of sum)")
+		workers     = fs.Int("workers", 0, "sweep worker pool size (0 = all cores)")
 	)
-	flag.Var(params, "param", "parameter override NAME=VALUE (repeatable)")
-	flag.Var(&axes, "sweep", "sweep axis NAME=lo:hi:n or NAME=log:lo:hi:n (repeatable; switches to sweep mode)")
-	flag.Parse()
+	fs.Var(params, "param", "parameter override NAME=VALUE (repeatable)")
+	fs.Var(&axes, "sweep", "sweep axis NAME=lo:hi:n or NAME=log:lo:hi:n (repeatable; switches to sweep mode)")
+	fs.Parse(args)
 
 	model, spec := loadModelAndMachine(*stage, *file, *modelName, *machineName)
 
@@ -230,18 +221,24 @@ func loadModelAndMachine(stage int, file, modelName, machineName string) (*aspen
 }
 
 func defaultMachine() *aspen.MachineSpec {
-	f, err := aspen.Parse(machine.SimpleNode().ToAspen())
-	if err != nil {
-		fail(err)
-	}
-	spec, err := aspen.BuildMachine(f, "SimpleNode")
+	spec, err := nodeSpec(machine.SimpleNode())
 	if err != nil {
 		fail(err)
 	}
 	return spec
 }
 
+// nodeSpec resolves a hardware node model into the ASPEN machine spec the
+// aspen and figures subcommands evaluate models against.
+func nodeSpec(node machine.Node) (*aspen.MachineSpec, error) {
+	f, err := aspen.Parse(node.ToAspen())
+	if err != nil {
+		return nil, err
+	}
+	return aspen.BuildMachine(f, node.Name)
+}
+
 func fail(err error) {
-	fmt.Fprintf(os.Stderr, "aspeneval: %v\n", err)
+	fmt.Fprintf(os.Stderr, "splitexec aspen: %v\n", err)
 	os.Exit(1)
 }

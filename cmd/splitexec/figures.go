@@ -1,16 +1,3 @@
-// Command figures regenerates the data series behind every figure in the
-// paper's evaluation (Fig. 9a, 9b, 9c) and the §3.3 stage-dominance summary,
-// printing tab-separated tables ready for plotting.
-//
-// Usage:
-//
-//	figures -fig 9a            # stage-1 model + measured CMR series
-//	figures -fig 9b -ps 0.7    # stage-2 time vs accuracy
-//	figures -fig 9c            # stage-3 sort time vs size
-//	figures -fig dominance     # per-stage totals and stage-1 share
-//	figures -fig tts           # extension: TTS vs anneal duration (U-curve)
-//	figures -fig dse           # extension: stage-1 sensitivity + budget crossover
-//	figures -fig all
 package main
 
 import (
@@ -28,17 +15,22 @@ import (
 	"github.com/splitexec/splitexec/internal/schedule"
 )
 
-func main() {
+// runFigures is the `splitexec figures` subcommand: it regenerates the data
+// series behind every figure in the paper's evaluation (Fig. 9a, 9b, 9c)
+// and the §3.3 stage-dominance summary, printing tab-separated tables ready
+// for plotting.
+func runFigures(args []string) {
+	fs := flag.NewFlagSet("splitexec figures", flag.ExitOnError)
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 9a, 9b, 9c, dominance, arch, tts, dse, all")
-		maxN     = flag.Int("maxn", 100, "largest model-curve problem size")
-		measure  = flag.Int("measure", 20, "largest size for wall-clock CMR measurement (fig 9a)")
-		ps       = flag.Float64("ps", 0.7, "single-run success probability (fig 9b)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		maxTries = flag.Int("tries", 10, "CMR restart budget")
-		workers  = flag.Int("workers", 0, "worker pool size for sweeps and measurements (0 = all cores)")
+		fig      = fs.String("fig", "all", "figure to regenerate: 9a, 9b, 9c, dominance, arch, tts, dse, all")
+		maxN     = fs.Int("maxn", 100, "largest model-curve problem size")
+		measure  = fs.Int("measure", 20, "largest size for wall-clock CMR measurement (fig 9a)")
+		ps       = fs.Float64("ps", 0.7, "single-run success probability (fig 9b)")
+		seed     = fs.Int64("seed", 1, "random seed")
+		maxTries = fs.Int("tries", 10, "CMR restart budget")
+		workers  = fs.Int("workers", 0, "worker pool size for sweeps and measurements (0 = all cores)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	node := machine.SimpleNode()
 
 	run := func(name string, f func() error) {
@@ -46,7 +38,7 @@ func main() {
 			return
 		}
 		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "splitexec figures: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 	}
@@ -104,11 +96,7 @@ func defaultTTS(gap schedule.GapModel, perRead time.Duration) time.Duration {
 // sensitivity ranking at n=50, and the 1-second-budget crossover. All
 // three run on the parallel exploration engine.
 func designSpace(node machine.Node, workers int) error {
-	f, err := aspen.Parse(node.ToAspen())
-	if err != nil {
-		return err
-	}
-	spec, err := aspen.BuildMachine(f, node.Name)
+	spec, err := nodeSpec(node)
 	if err != nil {
 		return err
 	}

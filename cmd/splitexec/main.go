@@ -49,12 +49,26 @@
 //	splitexec storm -dir scenarios
 //	splitexec storm -dir scenarios -quick -json
 //
-// The bench subcommand records the kernel benchmark suite as a
-// schema-versioned BENCH_<UTC-date>.json baseline, or compares a fresh run
-// against the newest committed one (the benchmark trajectory CI watches):
+// The figures subcommand regenerates the data series behind the paper's
+// evaluation (Fig. 9a–c, the §3.3 stage-dominance summary and the
+// architecture, TTS and design-space extensions) as tab-separated tables:
 //
-//	splitexec bench -write
-//	splitexec bench -baseline BENCH_2026-08-07.json -warn 1.25
+//	splitexec figures -fig 9a            # stage-1 model + measured CMR series
+//	splitexec figures -fig 9b -ps 0.7    # stage-2 time vs accuracy
+//	splitexec figures -fig all -workers 8
+//
+// The aspen subcommand evaluates an ASPEN performance model, one of the
+// paper's stage listings (Figs. 6–8) or a model file, at a point or, with
+// -sweep, across a design space on a worker pool:
+//
+//	splitexec aspen -stage 2 -param Accuracy=99 -param Success=0.7
+//	splitexec aspen -file model.aspen -machine MyMachine -param N=64
+//	splitexec aspen -stage 3 -sweep LPS=log:1:1000:13 -sweep Success=0.5:0.9:5
+//
+// The qpud subcommand serves a simulated QPU over TCP, the quantum server
+// of the paper's client-server deployment (Fig. 1a):
+//
+//	splitexec qpud -addr :7447 -m 12 -ncols 12 -sweeps 256
 package main
 
 import (
@@ -62,6 +76,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"sort"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -74,32 +90,25 @@ import (
 	"github.com/splitexec/splitexec/internal/schedule"
 )
 
+// subcommands maps each subcommand name to its entry point; any other
+// first argument is a flag of the default single-problem solve.
+var subcommands = map[string]func(args []string){
+	"admin":    runAdmin,
+	"aspen":    runAspen,
+	"figures":  runFigures,
+	"loadgen":  runLoadgen,
+	"plan":     runPlan,
+	"qpud":     runQpud,
+	"route":    runRoute,
+	"serve":    runServe,
+	"simulate": runSimulate,
+	"storm":    runStorm,
+}
+
 func main() {
 	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "serve":
-			runServe(os.Args[2:])
-			return
-		case "route":
-			runRoute(os.Args[2:])
-			return
-		case "admin":
-			runAdmin(os.Args[2:])
-			return
-		case "simulate":
-			runSimulate(os.Args[2:])
-			return
-		case "loadgen":
-			runLoadgen(os.Args[2:])
-			return
-		case "plan":
-			runPlan(os.Args[2:])
-			return
-		case "storm":
-			runStorm(os.Args[2:])
-			return
-		case "bench":
-			runBench(os.Args[2:])
+		if run, ok := subcommands[os.Args[1]]; ok {
+			run(os.Args[2:])
 			return
 		}
 	}
@@ -120,6 +129,16 @@ func main() {
 		gapPos   = flag.Float64("gappos", 0.65, "anneal fraction of the gap minimum (with -anneal)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		names := make([]string, 0, len(subcommands))
+		for name := range subcommands {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fmt.Fprintf(os.Stderr, "splitexec: unknown subcommand or argument %q\nsubcommands: %s\n",
+			flag.Arg(0), strings.Join(names, ", "))
+		os.Exit(2)
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	node := machine.SimpleNode()

@@ -6,12 +6,12 @@ package anneal
 //
 //	go test -bench 'Kernel|ParallelReads' -benchmem -count 10 ./internal/anneal | benchstat -
 //
-// or `splitexec bench`, which records the same kernels into a
-// schema-versioned BENCH_<date>.json for the committed trajectory. Every
-// kernel benchmark reports ns/proposal (time per replica-level Metropolis
-// proposal) and allocs/op on the same footing, so the scalar, multi-spin
-// and SQA kernels are directly comparable. See docs/performance.md for the
-// kernel design and recorded before/after numbers.
+// Every kernel benchmark reports ns/proposal (time per replica-level
+// Metropolis proposal) and allocs/op on the same footing, so the scalar,
+// multi-spin and SQA kernels are directly comparable. The end-to-end
+// numbers live in perfbench, the repository's benchmark. See
+// docs/performance.md for the kernel design and recorded before/after
+// numbers.
 
 import (
 	"fmt"

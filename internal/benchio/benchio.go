@@ -1,39 +1,18 @@
-// Package benchio records kernel benchmark results as schema-versioned
-// JSON reports and compares them against a committed baseline — the
-// "benchmark trajectory" of the repository. `splitexec bench` writes
-// BENCH_<UTC-date>.json files with this package; CI replays the suite on
-// every push and reports per-benchmark ratios against the newest committed
-// baseline (warn-only: machines differ, so the gate flags drift rather
-// than failing builds).
+// Package benchio describes the host a benchmark ran on, and holds the
+// telemetry (obs) and router hot-path benchmarks that CI's bench smoke
+// runs. perfbench, the repository's end-to-end benchmark, stamps every run
+// with CurrentHost so results are only compared across matching hosts.
 package benchio
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
-	"text/tabwriter"
-	"time"
 )
 
-// Schema identifies the report layout. Bump it on incompatible changes;
-// Load rejects reports from a different schema so a comparison never
-// silently mixes layouts.
-const Schema = 1
-
-// DefaultFilename returns the conventional baseline name for a report
-// generated at t: BENCH_<UTC-date>.json.
-func DefaultFilename(t time.Time) string {
-	return "BENCH_" + t.UTC().Format("2006-01-02") + ".json"
-}
-
-// Host describes the machine a report was measured on. Reports from
-// different hosts are still comparable as trajectories, but absolute
-// ratios across hosts mean little; Compare surfaces both hosts so the
-// reader can judge.
+// Host describes the machine a benchmark was measured on. Absolute
+// numbers from different hosts mean little side by side, so every record
+// carries one.
 type Host struct {
 	OS        string `json:"os"`
 	Arch      string `json:"arch"`
@@ -70,174 +49,4 @@ func cpuModel() string {
 		}
 	}
 	return ""
-}
-
-// Result is one benchmark's measurement. NsPerOp is always set; the
-// derived metrics are zero when the benchmark does not report them.
-type Result struct {
-	Name          string  `json:"name"`
-	Iterations    int     `json:"iterations"`
-	NsPerOp       float64 `json:"ns_per_op"`
-	NsPerProposal float64 `json:"ns_per_proposal,omitempty"`
-	MBPerSec      float64 `json:"mb_per_sec,omitempty"`
-	AllocsPerOp   int64   `json:"allocs_per_op"`
-	BytesPerOp    int64   `json:"bytes_per_op"`
-	// SuccessRate is the measured per-read ground-state probability for
-	// the success-rate probes (Fig. 9's observable); zero elsewhere.
-	SuccessRate float64 `json:"success_rate,omitempty"`
-}
-
-// Report is one full run of the benchmark suite.
-type Report struct {
-	Schema       int      `json:"schema"`
-	GeneratedUTC string   `json:"generated_utc"`
-	Host         Host     `json:"host"`
-	Results      []Result `json:"results"`
-}
-
-// Find returns the named result, or nil.
-func (r *Report) Find(name string) *Result {
-	for i := range r.Results {
-		if r.Results[i].Name == name {
-			return &r.Results[i]
-		}
-	}
-	return nil
-}
-
-// Load reads and validates a report file.
-func Load(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("benchio: %s: %w", path, err)
-	}
-	if rep.Schema != Schema {
-		return nil, fmt.Errorf("benchio: %s: schema %d, want %d", path, rep.Schema, Schema)
-	}
-	return &rep, nil
-}
-
-// WriteFile writes the report as indented JSON.
-func (r *Report) WriteFile(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// FindBaseline returns the lexically newest BENCH_*.json in dir ("" = "."),
-// which under the date-stamped naming convention is the most recent
-// committed baseline. It returns "" when none exists.
-func FindBaseline(dir string) string {
-	if dir == "" {
-		dir = "."
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return ""
-	}
-	best := ""
-	for _, e := range entries {
-		name := e.Name()
-		if e.Type().IsRegular() && strings.HasPrefix(name, "BENCH_") && strings.HasSuffix(name, ".json") && name > best {
-			best = name
-		}
-	}
-	if best == "" {
-		return ""
-	}
-	return dir + string(os.PathSeparator) + best
-}
-
-// Delta is one benchmark compared across two reports. Ratio is new/old
-// time (NsPerProposal when both sides have it, NsPerOp otherwise), so
-// values above 1 are slowdowns.
-type Delta struct {
-	Name   string  `json:"name"`
-	Metric string  `json:"metric"`
-	Old    float64 `json:"old,omitempty"`
-	New    float64 `json:"new,omitempty"`
-	Ratio  float64 `json:"ratio,omitempty"`
-	// Warn marks ratios beyond the comparison threshold.
-	Warn bool `json:"warn,omitempty"`
-	// Missing marks benchmarks present on one side only.
-	Missing string `json:"missing,omitempty"`
-}
-
-// Compare evaluates new against old benchmark-by-benchmark. warnRatio is
-// the slowdown threshold (e.g. 1.25 warns at +25%); speedups never warn.
-func Compare(old, new *Report, warnRatio float64) []Delta {
-	seen := map[string]bool{}
-	var out []Delta
-	for _, o := range old.Results {
-		seen[o.Name] = true
-		n := new.Find(o.Name)
-		if n == nil {
-			out = append(out, Delta{Name: o.Name, Missing: "new"})
-			continue
-		}
-		d := Delta{Name: o.Name, Metric: "ns/op", Old: o.NsPerOp, New: n.NsPerOp}
-		switch {
-		case o.SuccessRate > 0 && n.SuccessRate > 0:
-			// Success-rate probes regress downward: warn when the rate
-			// dropped by the threshold factor, never on improvement.
-			d.Metric, d.Old, d.New = "success", o.SuccessRate, n.SuccessRate
-			d.Ratio = d.New / d.Old
-			d.Warn = d.Ratio < 1/warnRatio
-			out = append(out, d)
-			continue
-		case o.NsPerProposal > 0 && n.NsPerProposal > 0:
-			d.Metric, d.Old, d.New = "ns/proposal", o.NsPerProposal, n.NsPerProposal
-		}
-		if d.Old > 0 {
-			d.Ratio = d.New / d.Old
-			d.Warn = d.Ratio > warnRatio
-		}
-		out = append(out, d)
-	}
-	for _, n := range new.Results {
-		if !seen[n.Name] {
-			out = append(out, Delta{Name: n.Name, Missing: "old"})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// AnyWarn reports whether any delta crossed the threshold.
-func AnyWarn(deltas []Delta) bool {
-	for _, d := range deltas {
-		if d.Warn {
-			return true
-		}
-	}
-	return false
-}
-
-// WriteComparison renders deltas as an aligned human-readable table.
-func WriteComparison(w io.Writer, old, new *Report, deltas []Delta) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "benchmark\tmetric\told\tnew\tratio\t\n")
-	for _, d := range deltas {
-		if d.Missing != "" {
-			fmt.Fprintf(tw, "%s\t-\t-\t-\tonly in %s\t\n", d.Name, map[string]string{"new": "baseline", "old": "this run"}[d.Missing])
-			continue
-		}
-		flag := ""
-		if d.Warn {
-			flag = "  <-- slower"
-			if d.Metric == "success" {
-				flag = "  <-- success rate dropped"
-			}
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%.3f\t%.3f\t%.2fx%s\t\n", d.Name, d.Metric, d.Old, d.New, d.Ratio, flag)
-	}
-	fmt.Fprintf(tw, "\nbaseline: %s (%s/%s, %s)\n", old.GeneratedUTC, old.Host.OS, old.Host.Arch, old.Host.CPUModel)
-	fmt.Fprintf(tw, "this run: %s (%s/%s, %s)\n", new.GeneratedUTC, new.Host.OS, new.Host.Arch, new.Host.CPUModel)
-	return tw.Flush()
 }

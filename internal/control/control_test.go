@@ -177,6 +177,9 @@ func TestRequiredBitsSufficiency(t *testing.T) {
 
 func TestControllerProgramBasics(t *testing.T) {
 	c := NewController()
+	if c.DAC != DW2DAC() {
+		t.Fatalf("NewController DAC = %+v, want DW2DAC", c.DAC)
+	}
 	m := ringIsing(8)
 	res, err := c.Program(m, nil)
 	if err != nil {

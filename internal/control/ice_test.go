@@ -162,6 +162,9 @@ func TestCalibrateBasics(t *testing.T) {
 	if rep.Yield <= 0.9 || rep.Yield > 1 {
 		t.Fatalf("Yield %v implausible for 2%% fault rate", rep.Yield)
 	}
+	if fm.Yield(hw.Order()) != rep.Yield {
+		t.Fatalf("report yield %v, fault model yield %v", rep.Yield, fm.Yield(hw.Order()))
+	}
 	// The working graph loses exactly the dead couplers plus edges of dead
 	// qubits.
 	working := fm.Apply(hw)

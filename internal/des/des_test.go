@@ -88,6 +88,9 @@ func TestAnalyticScenarioEnvelope(t *testing.T) {
 	if r.Servers != 2 || math.Abs(r.Rho-0.5) > 1e-12 {
 		t.Errorf("scenario mapping: %+v", r)
 	}
+	if direct, err := Analytic(r.Lambda, r.Mu, r.Servers); err != nil || direct.ErlangC != r.ErlangC {
+		t.Errorf("Analytic(%v, %v, %d) = %+v, %v; AnalyticScenario gave %+v", r.Lambda, r.Mu, r.Servers, direct, err, r)
+	}
 	for _, mut := range []struct {
 		name string
 		f    func(*workload.Scenario)

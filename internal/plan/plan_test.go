@@ -127,6 +127,20 @@ func TestCapacityPolicyAxis(t *testing.T) {
 	}
 }
 
+// TestCapacityInheritsScenarioPolicy: with no policy axis, the planner
+// searches under the discipline the scenario itself declares.
+func TestCapacityInheritsScenarioPolicy(t *testing.T) {
+	sc := planScenario(8_000)
+	sc.Policy = sched.Priority
+	p, err := Capacity(sc, Target{MeanSojourn: 20 * time.Millisecond}, Space{Hosts: []int{1, 2, 4}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Best == nil || p.Best.Policy != sched.Priority {
+		t.Fatalf("best = %+v, want a satisfying configuration under the scenario's priority policy", p.Best)
+	}
+}
+
 // TestCapacityUnsatisfiable: a target below the service time itself cannot
 // be met at any fleet size; the plan must say so instead of guessing.
 func TestCapacityUnsatisfiable(t *testing.T) {

@@ -193,13 +193,14 @@ func (s *Server) statusLocked() Response {
 
 func errResponse(err error) Response { return Response{OK: false, Error: err.Error()} }
 
-// ListenAndLog is a convenience for cmd/qpud: bind, announce, serve forever.
+// ListenAndLog is a convenience for `splitexec qpud`: bind, announce, serve
+// forever.
 func (s *Server) ListenAndLog(addr string) error {
 	a, err := s.Listen(addr)
 	if err != nil {
 		return err
 	}
-	log.Printf("qpud: serving simulated QPU on %s", a)
+	log.Printf("splitexec qpud: serving simulated QPU on %s", a)
 	s.wg.Wait()
 	return nil
 }

@@ -29,6 +29,9 @@ func equal(a, b []int) bool {
 }
 
 func TestPolicyValidation(t *testing.T) {
+	if got := Policies(); len(got) != 4 || got[0] != FIFO {
+		t.Errorf("Policies() = %v, want the four disciplines with FIFO first", got)
+	}
 	for _, p := range Policies() {
 		if !Valid(p) {
 			t.Errorf("Valid(%q) = false", p)

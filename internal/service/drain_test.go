@@ -334,6 +334,26 @@ func TestPriorityPolicyLive(t *testing.T) {
 	}
 }
 
+// TestFairSharePolicyLive: the live service accepts the weighted fair-share
+// discipline and runs a classed job through it to a clean drain.
+func TestFairSharePolicyLive(t *testing.T) {
+	svc, err := New(Options{Workers: 1, QueueDepth: 4, Policy: sched.FairShare, Base: testBase()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := svc.SubmitProfileClass(arch.JobProfile{PreProcess: time.Millisecond},
+		JobClass{Class: 1, Priority: 2, Weight: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := svc.Drain(); rep.Jobs != 1 || rep.Failed != 0 || tk.Metrics().Class != 1 {
+		t.Fatalf("drain report %+v, class %d", rep, tk.Metrics().Class)
+	}
+}
+
 // TestQueueWaitIncludesBackpressure: a Submit blocked on a full queue is
 // queueing — its QueueWait must be clocked from the Submit call, not from
 // the instant space freed up, or the report underestimates exactly the

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/splitexec/splitexec/internal/sched"
 )
 
 func validScenario() *Scenario {
@@ -48,6 +50,19 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	// Durations must be human-readable strings on the wire, not ns counts.
 	if !strings.Contains(string(data), `"2ms"`) {
 		t.Errorf("encoded scenario lacks string durations:\n%s", data)
+	}
+
+	// The policy layer's fields survive the trip too.
+	sc.Policy = sched.Priority
+	sc.Mix[0].Priority = 1
+	if data, err = sc.Encode(); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	if got, err = Decode(data); err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if got.Policy != sched.Priority || got.Mix[0].Priority != 1 {
+		t.Errorf("policy fields lost in the round trip: %+v", got)
 	}
 }
 

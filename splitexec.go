@@ -4,53 +4,33 @@
 //
 // Split-execution computing couples two computational models — here a
 // conventional CPU and a D-Wave-style quantum annealing QPU — and pays a
-// translation cost at the boundary. The library provides:
+// translation cost at the boundary. The facade exposes the paper-level
+// workflow:
 //
 //   - a three-stage split-execution solver (translate+embed → anneal →
-//     post-process) over a simulated QPU (Solver),
+//     post-process) over a simulated or networked QPU (Solver, DialQPU),
 //   - analytic performance models of each stage in an ASPEN-compatible
-//     DSL, evaluated against machine models (Predictor, the aspen types),
-//   - the substrates these require: Chimera hardware graphs, QUBO/Ising
-//     problems, minor embedding, annealing and statistics.
+//     DSL, evaluated against machine models (Predictor, the Aspen names),
+//     and swept across a design space on a worker pool (SweepModelOpt),
+//   - the problems and hardware graphs those need: QUBO/Ising encodings,
+//     Chimera topologies and clique embeddings.
 //
-// # Quick start
-//
-//	g := splitexec.Cycle(8)
-//	problem := splitexec.MaxCut(g, nil)
-//	solver := splitexec.NewSolver(splitexec.Config{Seed: 1})
-//	sol, err := solver.SolveQUBO(problem)
-//	// sol.Binary is the partition, sol.Timing the per-stage cost split.
-//
-// The deeper sub-APIs are re-exported as type aliases so downstream code can
-// use everything through this one import path.
+// The Example functions are the runnable quick start. The service,
+// workload, planning and telemetry layers live in the internal packages and
+// are driven through the splitexec command.
 package splitexec
 
 import (
-	"time"
-
 	"github.com/splitexec/splitexec/internal/anneal"
-	"github.com/splitexec/splitexec/internal/arch"
 	"github.com/splitexec/splitexec/internal/aspen"
-	"github.com/splitexec/splitexec/internal/control"
 	"github.com/splitexec/splitexec/internal/core"
-	"github.com/splitexec/splitexec/internal/des"
 	"github.com/splitexec/splitexec/internal/dse"
 	"github.com/splitexec/splitexec/internal/embed"
-	"github.com/splitexec/splitexec/internal/gi"
 	"github.com/splitexec/splitexec/internal/graph"
-	"github.com/splitexec/splitexec/internal/loadgen"
 	"github.com/splitexec/splitexec/internal/machine"
-	"github.com/splitexec/splitexec/internal/obs"
-	"github.com/splitexec/splitexec/internal/parallel"
-	"github.com/splitexec/splitexec/internal/plan"
 	"github.com/splitexec/splitexec/internal/qpuserver"
 	"github.com/splitexec/splitexec/internal/qubo"
-	"github.com/splitexec/splitexec/internal/sched"
 	"github.com/splitexec/splitexec/internal/schedule"
-	"github.com/splitexec/splitexec/internal/service"
-	"github.com/splitexec/splitexec/internal/stats"
-	"github.com/splitexec/splitexec/internal/storm"
-	"github.com/splitexec/splitexec/internal/workload"
 )
 
 // --- core pipeline ----------------------------------------------------------
@@ -62,19 +42,11 @@ type Config = core.Config
 // Solver executes QUBO/Ising problems on the modeled CPU+QPU node.
 type Solver = core.Solver
 
-// Solution is the result of one solve, including the per-stage Timing.
-type Solution = core.Solution
-
-// Timing is the per-phase cost breakdown of a solve.
-type Timing = core.Timing
-
 // Predictor evaluates the paper's analytic stage models.
 type Predictor = core.Predictor
 
-// StageSeconds is a per-stage analytic prediction.
-type StageSeconds = core.StageSeconds
-
-// EmbeddingCache is the off-line embedding lookup table (paper §4).
+// EmbeddingCache is the off-line embedding lookup table (paper §4) a
+// Config.Cache enables.
 type EmbeddingCache = core.EmbeddingCache
 
 // NewSolver builds a solver for the given configuration.
@@ -82,9 +54,6 @@ func NewSolver(cfg Config) *Solver { return core.NewSolver(cfg) }
 
 // NewPredictor builds an analytic predictor for a hardware node.
 func NewPredictor(node Node) *Predictor { return core.NewPredictor(node) }
-
-// NewEmbeddingCache returns an empty off-line embedding cache.
-func NewEmbeddingCache() *EmbeddingCache { return core.NewEmbeddingCache() }
 
 // --- problems ---------------------------------------------------------------
 
@@ -96,9 +65,6 @@ type Ising = qubo.Ising
 
 // NewQUBO returns an all-zero QUBO over n binary variables.
 func NewQUBO(n int) *QUBO { return qubo.NewQUBO(n) }
-
-// NewIsing returns an all-zero Ising model over n spins.
-func NewIsing(n int) *Ising { return qubo.NewIsing(n) }
 
 // ToIsing translates a QUBO to its logical Ising model (paper Eqs. 4–5).
 func ToIsing(q *QUBO) *Ising { return qubo.ToIsing(q) }
@@ -123,25 +89,16 @@ func MaxIndependentSet(g *Graph, penalty float64) *QUBO { return qubo.MaxIndepen
 // GraphColoring returns the one-hot QUBO for proper k-coloring.
 func GraphColoring(g *Graph, k int, penalty float64) *QUBO { return qubo.GraphColoring(g, k, penalty) }
 
-// --- graphs -----------------------------------------------------------------
+// --- graphs and embedding ---------------------------------------------------
 
 // Graph is an undirected simple graph over dense integer vertices.
 type Graph = graph.Graph
-
-// Edge is an unordered vertex pair.
-type Edge = graph.Edge
 
 // Chimera describes the C(M,N,L) quantum annealer topology.
 type Chimera = graph.Chimera
 
 // VertexModel maps logical vertices to hardware chains (a minor embedding).
 type VertexModel = graph.VertexModel
-
-// FaultModel describes dead qubits and couplers.
-type FaultModel = graph.FaultModel
-
-// NewGraph returns an empty graph with n vertices.
-func NewGraph(n int) *Graph { return graph.New(n) }
 
 // Complete returns K_n.
 func Complete(n int) *Graph { return graph.Complete(n) }
@@ -151,12 +108,6 @@ func Cycle(n int) *Graph { return graph.Cycle(n) }
 
 // Grid returns the rows×cols lattice graph.
 func Grid(rows, cols int) *Graph { return graph.Grid(rows, cols) }
-
-// Path returns P_n.
-func Path(n int) *Graph { return graph.Path(n) }
-
-// Star returns the star graph on n vertices (center 0).
-func Star(n int) *Graph { return graph.Star(n) }
 
 // Vesuvius is the 512-qubit C(8,8,4) topology.
 func Vesuvius() Chimera { return graph.Vesuvius() }
@@ -169,58 +120,22 @@ func ValidateMinor(g, hw *Graph, vm VertexModel, requireAll bool) error {
 	return graph.ValidateMinor(g, hw, vm, requireAll)
 }
 
-// --- embedding --------------------------------------------------------------
-
-// EmbedOptions configure the Cai–Macready–Roy heuristic.
+// EmbedOptions configure the Cai–Macready–Roy heuristic (Config.Embed).
 type EmbedOptions = embed.Options
-
-// EmbedStats reports embedding search work.
-type EmbedStats = embed.Stats
-
-// Embedded couples a hardware Ising program with its vertex model.
-type Embedded = embed.Embedded
-
-// FindEmbedding runs the CMR minor-embedding heuristic.
-var FindEmbedding = embed.FindEmbedding
 
 // CliqueEmbedding deterministically embeds K_n into a Chimera topology.
 var CliqueEmbedding = embed.CliqueEmbedding
 
-// SetParameters maps a logical Ising model onto hardware through a vertex
-// model.
-var SetParameters = embed.SetParameters
-
-// --- annealing --------------------------------------------------------------
+// --- annealing and the QPU ----------------------------------------------------
 
 // SamplerOptions configure the annealer substrate.
 type SamplerOptions = anneal.SamplerOptions
 
-// SampleSet is a readout ensemble.
-type SampleSet = anneal.SampleSet
+// SQAOptions configure the simulated-quantum-annealing (path-integral)
+// sampler a Config.SQA selects.
+type SQAOptions = anneal.SQAOptions
 
-// CompiledIsing is the flat CSR compilation of an Ising model the annealing
-// kernels run on (immutable, safe for concurrent readers).
-type CompiledIsing = qubo.Compiled
-
-// CompileIsing flattens an Ising model into its compiled CSR form.
-var CompileIsing = qubo.Compile
-
-// Annealer is any single-shot sampler over an Ising program.
-type Annealer = anneal.Annealer
-
-// AnnealerReaderFactory is satisfied by annealers that can mint independent
-// readers over a shared compiled program for parallel readout.
-type AnnealerReaderFactory = anneal.ReaderFactory
-
-// CollectReads runs repeated anneals of an Annealer into a SampleSet.
-var CollectReads = anneal.Collect
-
-// CollectReadsParallel fans reads across a bounded worker pool with one
-// derived RNG stream per read; results are byte-identical for every worker
-// count.
-var CollectReadsParallel = anneal.CollectParallel
-
-// Timings holds QPU hardware time constants.
+// QPUTimings holds QPU hardware time constants.
 type QPUTimings = anneal.Timings
 
 // DW2Timings returns the paper's DW2 Vesuvius time constants.
@@ -230,21 +145,39 @@ func DW2Timings() QPUTimings { return anneal.DW2Timings() }
 // single-run success ps.
 var RequiredReads = anneal.RequiredReads
 
-// --- machine models -----------------------------------------------------------
+// Schedule is a piecewise-linear annealing waveform s(t) (Config.Schedule).
+type Schedule = schedule.Schedule
+
+// GapModel reduces an instance's internal energy structure to the minimum
+// spectral gap and its position (Config.Gap).
+type GapModel = schedule.GapModel
+
+// ControlLimits are the waveform ranges the control system permits
+// (Config.ScheduleLimits).
+type ControlLimits = schedule.ControlLimits
+
+// QPUServer serves a simulated QPU over TCP (the Fig. 1a deployment).
+type QPUServer = qpuserver.Server
+
+// QPUClient is the host-side handle to a remote QPU; it satisfies the
+// solver's device interface, so Config.Device can point at one.
+type QPUClient = qpuserver.Client
+
+// NewQPUServer builds a QPU server with the given time constants.
+func NewQPUServer(t QPUTimings, opts SamplerOptions) *QPUServer {
+	return qpuserver.NewServer(t, opts)
+}
+
+// DialQPU connects to a QPU server.
+func DialQPU(addr string) (*QPUClient, error) { return qpuserver.Dial(addr) }
+
+// --- machine and performance models -------------------------------------------
 
 // Node is the asymmetric CPU+QPU hardware node.
 type Node = machine.Node
 
-// CPU is a conventional multicore socket description.
-type CPU = machine.CPU
-
-// QPU is the quantum annealing socket description.
-type QPU = machine.QPU
-
 // SimpleNode mirrors the paper's Fig. 5 machine model.
 func SimpleNode() Node { return machine.SimpleNode() }
-
-// --- ASPEN DSL --------------------------------------------------------------
 
 // AspenFile is a parsed ASPEN source file.
 type AspenFile = aspen.File
@@ -280,504 +213,12 @@ func EvaluateAspen(m *AspenModel, mach *AspenMachine, opts AspenEvalOptions) (*A
 	return aspen.Evaluate(m, mach, opts)
 }
 
-// Stage1Source, Stage2Source and Stage3Source are the paper's application
-// model listings (Figs. 6–8).
+// Stage1Source and Stage2Source are the paper's stage-1 and stage-2
+// application model listings (Figs. 6 and 7).
 const (
 	Stage1Source = core.Stage1Source
 	Stage2Source = core.Stage2Source
-	Stage3Source = core.Stage3Source
 )
-
-// --- client-server QPU (Fig. 1a deployment) ----------------------------------
-
-// QPUServer serves a simulated QPU over TCP.
-type QPUServer = qpuserver.Server
-
-// QPUClient is the host-side handle to a remote QPU; it satisfies the
-// solver's device interface, so Config.Device can point at one.
-type QPUClient = qpuserver.Client
-
-// NewQPUServer builds a QPU server with the given time constants.
-func NewQPUServer(t QPUTimings, opts SamplerOptions) *QPUServer {
-	return qpuserver.NewServer(t, opts)
-}
-
-// DialQPU connects to a QPU server.
-func DialQPU(addr string) (*QPUClient, error) { return qpuserver.Dial(addr) }
-
-// --- concurrent dispatch service (Fig. 1 deployments, live) ------------------
-
-// ServiceOptions configure the concurrent multi-QPU dispatch service:
-// Workers hosts multiplex jobs over a Fleet of QPU devices through a
-// bounded FIFO queue (Workers=H, Fleet=1 is the shared-resource
-// architecture; Fleet=H dedicated-per-node).
-type ServiceOptions = service.Options
-
-// SolverService dispatches solve jobs over host workers and a QPU fleet.
-type SolverService = service.Service
-
-// ServiceTicket is the handle to one submitted service job.
-type ServiceTicket = service.Ticket
-
-// ServiceJobMetrics is the per-job measurement record (queue wait, device
-// wait, device occupancy, stage times).
-type ServiceJobMetrics = service.JobMetrics
-
-// ServiceReport is the aggregate measurement of a service run (makespan,
-// throughput, contention, QPU busy fraction).
-type ServiceReport = service.Report
-
-// ServiceClient is the remote handle to a serving solver service.
-type ServiceClient = service.Client
-
-// ServiceSolveResponse is one remote solve result with its measured
-// per-job service metrics.
-type ServiceSolveResponse = service.SolveResponse
-
-// NewService starts a concurrent dispatch service.
-func NewService(opts ServiceOptions) (*SolverService, error) { return service.New(opts) }
-
-// DialService connects to a solver service's TCP front-end.
-func DialService(addr string) (*ServiceClient, error) { return service.Dial(addr) }
-
-// DialServiceTimeout is DialService with a bound on the dial and every
-// subsequent round trip.
-func DialServiceTimeout(addr string, timeout time.Duration) (*ServiceClient, error) {
-	return service.DialTimeout(addr, timeout)
-}
-
-// WrapQPUDevice adapts a simulated annealing device for use in an explicit
-// ServiceOptions.Devices fleet or as a Config.Device.
-func WrapQPUDevice(dev *anneal.Device) core.QPUDevice { return core.LocalDevice(dev) }
-
-// --- open-system workload engine ----------------------------------------------
-
-// Scenario is one declarative open-system workload experiment: an arrival
-// process, a weighted mix of job classes, a deployment topology and a
-// horizon — JSON-encodable so scenarios are files, not code.
-type Scenario = workload.Scenario
-
-// ScenarioArrival specifies when jobs enter the system (Poisson, uniform,
-// closed-loop or recorded trace).
-type ScenarioArrival = workload.Arrival
-
-// ScenarioJobClass is one weighted entry of a scenario's workload mix.
-type ScenarioJobClass = workload.JobClass
-
-// ScenarioProfile is the JSON form of an arch.JobProfile.
-type ScenarioProfile = workload.Profile
-
-// ScenarioSystem is a scenario's deployment topology (Fig. 1 kinds).
-type ScenarioSystem = workload.SystemSpec
-
-// ScenarioHorizon bounds a scenario run by job count or duration.
-type ScenarioHorizon = workload.Horizon
-
-// ScenarioDuration is a duration that marshals as a human-readable string.
-type ScenarioDuration = workload.Duration
-
-// Arrival processes a ScenarioArrival can name. The last three are
-// modulated: a compressed diurnal sinusoid, Markov-modulated on/off
-// bursts, and a flash crowd multiplying the rate inside a window.
-const (
-	PoissonArrivals    = workload.Poisson
-	UniformArrivals    = workload.Uniform
-	ClosedLoopArrivals = workload.ClosedLoop
-	TraceArrivals      = workload.Trace
-	SinusoidArrivals   = workload.Sinusoid
-	BurstArrivals      = workload.Burst
-	FlashArrivals      = workload.Flash
-)
-
-// ScenarioFaults is a scenario's fault-injection spec: device deaths with
-// bounded-retry re-dispatch, Pareto straggler anneals, and per-attempt
-// connection drops — all drawn from seed-derived streams so the simulator
-// and a live replay realize identical fault schedules.
-type ScenarioFaults = workload.FaultSpec
-
-// ScenarioBand is a scenario's acceptance band on the live-vs-simulated
-// p99 sojourn ratio, used by the storm corpus runner.
-type ScenarioBand = workload.Band
-
-// ExponentialService marks a job class whose profile is scaled by an
-// Exp(1) draw per job (preserving phase ratios) — the M/M/c-checkable
-// service distribution.
-const ExponentialService = workload.Exponential
-
-// DecodeScenario unmarshals and validates a scenario file.
-var DecodeScenario = workload.Decode
-
-// WorkloadResult is the aggregate of one simulated scenario run: latency
-// distributions, utilization, throughput.
-type WorkloadResult = des.Result
-
-// WorkloadSimOptions configure the discrete-event simulator (event log).
-type WorkloadSimOptions = des.Options
-
-// SimulateWorkload runs a scenario through the open-system discrete-event
-// simulator in virtual time — millions of arrivals in milliseconds, no
-// wall-clock sleeping.
-var SimulateWorkload = des.Simulate
-
-// MMCResult is an M/M/c steady-state prediction.
-type MMCResult = des.AnalyticResult
-
-// AnalyticMMC evaluates the M/M/c queueing formulas (Erlang C).
-var AnalyticMMC = des.Analytic
-
-// AnalyticWorkload maps an eligible scenario (Poisson, single exponential
-// class, uncontended QPU) onto the M/M/c model.
-var AnalyticWorkload = des.AnalyticScenario
-
-// LoadgenOptions select the target service and transport of a live replay.
-type LoadgenOptions = loadgen.Options
-
-// LoadgenResult is the measured counterpart of a WorkloadResult.
-type LoadgenResult = loadgen.Result
-
-// RunLoadgen replays a scenario against a live dispatch service (in
-// process or over TCP) and measures the latency distributions the
-// simulator predicts.
-var RunLoadgen = loadgen.Run
-
-// StormOptions configure a storm run over a scenario corpus directory.
-type StormOptions = storm.Options
-
-// StormReport is the aggregate pass/fail verdict of a storm run.
-type StormReport = storm.Report
-
-// StormScenarioResult is one corpus scenario's verdict: DES-predicted and
-// live-measured p99, their ratio against the declared band, and the
-// conservation ledger (jobs, failures, retries, drops).
-type StormScenarioResult = storm.ScenarioResult
-
-// RunStorm replays a stress-scenario corpus through both the simulator and
-// a live TCP dispatch service, judging each scenario's live p99 against
-// its acceptance band — the `splitexec storm` subcommand's engine.
-var RunStorm = storm.Run
-
-// ObsScope bundles one deployment's telemetry — metrics registry, job
-// lifecycle trace ring and optional DES-drift alarm. Hand it to
-// ServiceOptions.Obs, RouterOptions.Obs or LoadgenOptions.Obs and serve it
-// with ServeObs (docs/observability.md).
-type ObsScope = obs.Scope
-
-// ObsRegistry is the atomic metrics registry behind an ObsScope.
-type ObsRegistry = obs.Registry
-
-// ObsServer is the HTTP admin endpoint (/metrics /healthz /jobz /varz
-// /debug/pprof) over an ObsScope.
-type ObsServer = obs.Server
-
-// ObsServerOptions configure ServeObs (scope, health checks, jobz bound).
-type ObsServerOptions = obs.ServerOptions
-
-// DriftAlarm watches live per-class sojourns against DES-predicted bands.
-type DriftAlarm = obs.DriftAlarm
-
-// NewObsScope builds an armed telemetry scope (registry + trace ring).
-var NewObsScope = obs.NewScope
-
-// ServeObs starts the HTTP admin endpoint for a telemetry scope.
-var ServeObs = obs.Serve
-
-// NewDriftAlarm arms a sojourn drift alarm from per-class predicted bands;
-// WorkloadResult.SojournBands bridges a DES prediction into that shape.
-var NewDriftAlarm = obs.NewDriftAlarm
-
-// DurationSummary is the shared latency digest (mean/p50/p90/p99/p999/max).
-type DurationSummary = stats.DurationSummary
-
-// SummarizeDurations digests a duration sample into a DurationSummary.
-var SummarizeDurations = stats.SummarizeDurations
-
-// --- scheduling policies and capacity planning --------------------------------
-
-// SchedulingPolicy names a host-backlog queue discipline shared by the
-// simulator and the live dispatch service.
-type SchedulingPolicy = sched.Policy
-
-// The supported scheduling policies.
-const (
-	// FIFOPolicy serves jobs in arrival order (the default).
-	FIFOPolicy = sched.FIFO
-	// PriorityPolicy serves the highest class priority first.
-	PriorityPolicy = sched.Priority
-	// ShortestQPUPolicy serves the smallest expected QPU time first.
-	ShortestQPUPolicy = sched.ShortestQPU
-	// FairSharePolicy serves classes in proportion to their weights.
-	FairSharePolicy = sched.FairShare
-)
-
-// SchedulingPolicies returns every supported policy, FIFO first.
-var SchedulingPolicies = sched.Policies
-
-// ServiceJobClass carries the scheduling attributes of a live-service job.
-type ServiceJobClass = service.JobClass
-
-// CapacityTarget is the SLO a planned deployment must meet (p99/mean
-// sojourn ceilings, utilization ceilings).
-type CapacityTarget = plan.Target
-
-// CapacitySpace is the planner's search space over hosts, deployment kinds
-// and scheduling policies.
-type CapacitySpace = plan.Space
-
-// CapacityCosts prices candidate configurations (hosts vs QPUs).
-type CapacityCosts = plan.Costs
-
-// CapacityPlanOptions configure a planning run.
-type CapacityPlanOptions = plan.Options
-
-// CapacityCandidate is one evaluated configuration of a capacity plan.
-type CapacityCandidate = plan.Candidate
-
-// CapacityPlan is the planner's outcome: the cheapest satisfying
-// configuration, its failing next-cheaper neighbor, and the full evaluated
-// frontier.
-type CapacityPlan = plan.Plan
-
-// PlanCapacity inverts the performance models into a provisioning decision:
-// the cheapest {hosts, fleet, policy} configuration whose simulated
-// behavior meets the target SLO under the scenario's workload.
-var PlanCapacity = plan.Capacity
-
-// --- architecture comparison (Fig. 1 a/b/c) ----------------------------------
-
-// Architecture identifies one of the paper's Fig. 1 deployments.
-type Architecture = arch.Kind
-
-// Fig. 1 architectures.
-const (
-	AsymmetricMultiprocessor = arch.AsymmetricMultiprocessor
-	SharedResource           = arch.SharedResource
-	DedicatedPerNode         = arch.DedicatedPerNode
-)
-
-// ArchSystem describes a deployment (architecture + host count).
-type ArchSystem = arch.System
-
-// JobProfile is the per-job phase cost vector for architecture comparison.
-type JobProfile = arch.JobProfile
-
-// ArchComparison is one row of the architecture comparison table.
-type ArchComparison = arch.Comparison
-
-// Makespan returns the batch completion time under an architecture.
-var Makespan = arch.Makespan
-
-// SimulateArchitecture runs the discrete-event simulation of a batch
-// flowing through a deployment (the prediction the live dispatch service
-// is validated against).
-var SimulateArchitecture = arch.Simulate
-
-// CompareArchitectures evaluates all three Fig. 1 architectures.
-var CompareArchitectures = arch.Compare
-
-// --- quantum annealing substrate ---------------------------------------------
-
-// SQAOptions configure the simulated-quantum-annealing (path-integral)
-// sampler.
-type SQAOptions = anneal.SQAOptions
-
-// --- additional workloads ----------------------------------------------------
-
-// TSP returns the traveling-salesman QUBO over a symmetric distance matrix.
-var TSP = qubo.TSP
-
-// TSPPenalty returns a safe constraint penalty for TSP.
-var TSPPenalty = qubo.TSPPenalty
-
-// DecodeTour extracts the visiting order from a TSP assignment.
-var DecodeTour = qubo.DecodeTour
-
-// SetPacking returns the weighted set-packing QUBO (§2.1 workload).
-var SetPacking = qubo.SetPacking
-
-// --- annealing schedules (§2.2 waveform & duration) ---------------------------
-
-// Schedule is a piecewise-linear annealing waveform s(t).
-type Schedule = schedule.Schedule
-
-// SchedulePoint is one control point of an annealing waveform.
-type SchedulePoint = schedule.Point
-
-// ControlLimits are the pre-defined waveform ranges the control system
-// permits.
-type ControlLimits = schedule.ControlLimits
-
-// GapModel reduces an instance's internal energy structure to the minimum
-// spectral gap and its position.
-type GapModel = schedule.GapModel
-
-// TTSResult is one point of an anneal-time TTS sweep.
-type TTSResult = schedule.TTSResult
-
-// LinearSchedule returns the standard linear ramp over duration d.
-func LinearSchedule(d time.Duration) Schedule { return schedule.Linear(d) }
-
-// ScheduleWithPause returns a ramp holding at fraction `at` for `pause`.
-var ScheduleWithPause = schedule.WithPause
-
-// ScheduleWithQuench returns a ramp that quenches from fraction `at`.
-var ScheduleWithQuench = schedule.WithQuench
-
-// CustomSchedule builds a waveform from explicit control points.
-var CustomSchedule = schedule.Custom
-
-// DW2ScheduleLimits returns DW2-representative control limits.
-func DW2ScheduleLimits() ControlLimits { return schedule.DW2Limits() }
-
-// DefaultGapModel returns a generic spin-glass-like gap model.
-func DefaultGapModel() GapModel { return schedule.DefaultGap() }
-
-// SuccessProbability returns the Landau-Zener single-run ground-state
-// probability of annealing under a schedule across a gap model.
-var SuccessProbability = schedule.SuccessProbability
-
-// TTS returns the Eq. 6 time-to-solution at the given per-read costs.
-var TTS = schedule.TTS
-
-// SweepTTS evaluates the TTS curve across anneal durations.
-var SweepTTS = schedule.SweepTTS
-
-// OptimalAnnealTime minimizes TTS within the hardware control limits.
-var OptimalAnnealTime = schedule.OptimalAnnealTime
-
-// EstimateGap builds a GapModel from an Ising instance's classical energy
-// spectrum (exhaustive; ≤ ~20 spins) — the bridge from a concrete problem
-// to schedule planning.
-var EstimateGap = anneal.EstimateGap
-
-// --- electronic control system (§2.2 precision & programming) ----------------
-
-// Controller models the electronic control system programming the QPU.
-type Controller = control.Controller
-
-// DAC describes control-line precision (bits and parameter ranges).
-type DAC = control.DAC
-
-// ICE models integrated control errors (analog parameter disorder).
-type ICE = control.ICE
-
-// ProgramResult reports one programming cycle.
-type ProgramResult = control.ProgramResult
-
-// ProgrammingPhase identifies one step of the programming pipeline.
-type ProgrammingPhase = control.Phase
-
-// PhaseTime is one entry of the programming time ledger.
-type PhaseTime = control.PhaseTime
-
-// CalibrationReport describes one hardware calibration pass.
-type CalibrationReport = control.CalibrationReport
-
-// CalibrationOptions parameterize a calibration pass.
-type CalibrationOptions = control.CalibrationOptions
-
-// DefaultCalibration returns representative probe times and fault rates.
-func DefaultCalibration() CalibrationOptions { return control.DefaultCalibration() }
-
-// NewController returns a controller with the paper's DW2 constants.
-func NewController() *Controller { return control.NewController() }
-
-// DW2DAC returns a DW2-representative DAC description.
-func DW2DAC() DAC { return control.DW2DAC() }
-
-// DW2ICE returns DW2-representative control-error amplitudes.
-func DW2ICE() ICE { return control.DW2ICE() }
-
-// ProgrammingSequence expands QPU timing constants into the per-phase
-// programming ledger (the stage-1 ASPEN constants).
-var ProgrammingSequence = control.Sequence
-
-// Calibrate sweeps a hardware graph for faults (paper §2.2).
-var Calibrate = control.Calibrate
-
-// RequiredBits returns the DAC precision needed for a parameter resolution.
-var RequiredBits = control.RequiredBits
-
-// --- graph isomorphism on the QPU (§3.3) --------------------------------------
-
-// GIOptions configure the annealer-backed graph-isomorphism decision.
-type GIOptions = gi.Options
-
-// GIResult reports one annealer-backed GI decision.
-type GIResult = gi.Result
-
-// GIReduction is a GI instance encoded as a QUBO.
-type GIReduction = gi.Reduction
-
-// ReduceGI encodes "is G isomorphic to H?" as a QUBO.
-var ReduceGI = gi.Reduce
-
-// AreIsomorphic decides GI with the annealer substrate plus exact
-// verification.
-var AreIsomorphic = gi.AreIsomorphic
-
-// MatchGraph finds which candidate an input graph is isomorphic to — the
-// off-line embedding-table lookup of §3.3/§4.
-var MatchGraph = gi.Match
-
-// RelabelGraph returns the image of a graph under a vertex permutation.
-var RelabelGraph = gi.Relabel
-
-// VerifyIsomorphism exactly checks a claimed vertex mapping.
-var VerifyIsomorphism = gi.VerifyMapping
-
-// --- parallel pre-processing (§4) ---------------------------------------------
-
-// ParallelEmbedOptions configure the multi-seed parallel embedding search.
-type ParallelEmbedOptions = parallel.EmbedOptions
-
-// ParallelEmbedResult reports a parallel embedding search.
-type ParallelEmbedResult = parallel.EmbedResult
-
-// StageCost is the per-stage time of one job for pipeline analysis.
-type StageCost = parallel.StageCost
-
-// PipelineJob is one unit of work for the live pipeline executor.
-type PipelineJob = parallel.Job
-
-// FindEmbeddingParallel races CMR restarts across host cores.
-var FindEmbeddingParallel = parallel.FindEmbedding
-
-// EmbedBatch embeds many graphs concurrently into the same hardware.
-var EmbedBatch = parallel.EmbedBatch
-
-// SequentialMakespan returns the serial batch time.
-var SequentialMakespan = parallel.Sequential
-
-// PipelinedMakespan simulates CPU/QPU stage overlap for a batch.
-var PipelinedMakespan = parallel.Pipelined
-
-// PipelineSpeedup returns SequentialMakespan/PipelinedMakespan.
-var PipelineSpeedup = parallel.Speedup
-
-// RunPipeline executes jobs with genuine goroutine-level stage overlap.
-var RunPipeline = parallel.Run
-
-// ForEach runs fn(i) for i in [0, n) on a bounded worker pool, returning
-// the error of the lowest failed index. It is the fan-out substrate behind
-// the sweep engine and the batch solver.
-var ForEach = parallel.ForEach
-
-// DeriveSeed mixes a base seed and an item index into an independent
-// per-item RNG seed.
-var DeriveSeed = parallel.DeriveSeed
-
-// BatchJob is one problem+configuration pair for SolveBatch.
-type BatchJob = core.BatchJob
-
-// BatchResult is one SolveBatch outcome, in input order.
-type BatchResult = core.BatchResult
-
-// BatchOptions configure the batch solver fan-out.
-type BatchOptions = core.BatchOptions
-
-// SolveBatch runs the full three-stage pipeline for every job on a
-// bounded worker pool, one solver per job.
-var SolveBatch = core.SolveBatch
 
 // --- design-space exploration --------------------------------------------------
 
@@ -787,15 +228,8 @@ type DSEAxis = dse.Axis
 // DSETable is an evaluated sweep.
 type DSETable = dse.Table
 
-// DSESensitivity is a parameter elasticity at a design point.
-type DSESensitivity = dse.Sensitivity
-
 // DSEObjective maps a parameter assignment to a scalar cost.
 type DSEObjective = dse.Objective
-
-// DSESeededObjective is a randomized objective drawing from a per-point
-// RNG stream the engine derives from (Seed, pointIndex).
-type DSESeededObjective = dse.SeededObjective
 
 // SweepOptions configure the parallel exploration engine (worker pool
 // size, base seed, progress callback).
@@ -804,79 +238,10 @@ type SweepOptions = dse.SweepOptions
 // ModelObjective adapts an ASPEN model to a DSE objective.
 var ModelObjective = dse.ModelObjective
 
-// SweepModel evaluates an objective over the cartesian product of axes on
-// all host cores, returning rows in canonical axis order.
-var SweepModel = dse.Sweep
-
-// SweepModelOpt is SweepModel with explicit engine options.
+// SweepModelOpt evaluates an objective over the cartesian product of axes
+// on a bounded worker pool, returning rows in canonical axis order for any
+// worker count.
 var SweepModelOpt = dse.SweepOpt
-
-// SweepModelSeeded sweeps a randomized objective with reproducible
-// per-point RNG streams.
-var SweepModelSeeded = dse.SweepSeeded
-
-// Sensitivities ranks parameters by local elasticity.
-var Sensitivities = dse.Sensitivities
-
-// SensitivitiesOpt is Sensitivities with explicit engine options.
-var SensitivitiesOpt = dse.SensitivitiesOpt
-
-// Crossover locates where one objective overtakes another.
-var Crossover = dse.Crossover
-
-// CrossoverOpt is Crossover with explicit engine options.
-var CrossoverOpt = dse.CrossoverOpt
 
 // LinSpace returns evenly spaced values (inclusive endpoints).
 var LinSpace = dse.LinSpace
-
-// LogSpace returns logarithmically spaced values (inclusive endpoints).
-var LogSpace = dse.LogSpace
-
-// --- additional workloads (§1/§2.1) --------------------------------------------
-
-// ILP is a binary integer linear program reduced to QUBO form.
-type ILP = qubo.ILP
-
-// Ensemble is the QBoost weak-classifier-selection QUBO.
-type Ensemble = qubo.Ensemble
-
-// IntegerLinearProgram builds the QUBO for min c·x subject to Ax = b.
-var IntegerLinearProgram = qubo.IntegerLinearProgram
-
-// SafeILPPenalty returns a constraint penalty dominating the objective.
-var SafeILPPenalty = qubo.SafeILPPenalty
-
-// WeakClassifierEnsemble builds the QBoost binary-classification QUBO.
-var WeakClassifierEnsemble = qubo.WeakClassifierEnsemble
-
-// PBPoly is a pseudo-Boolean polynomial of arbitrary degree.
-type PBPoly = qubo.PBPoly
-
-// Quadratized is the 2-local (QUBO) image of a higher-degree polynomial.
-type Quadratized = qubo.Quadratized
-
-// Clause3 is a 3-SAT clause.
-type Clause3 = qubo.Clause3
-
-// NewPBPoly returns the zero pseudo-Boolean polynomial over n variables.
-func NewPBPoly(n int) *PBPoly { return qubo.NewPBPoly(n) }
-
-// Max3SAT encodes MAX-3-SAT as a cubic polynomial; Quadratize it for
-// hardware-ready QUBO form.
-var Max3SAT = qubo.Max3SAT
-
-// CountSatisfied3 counts satisfied 3-SAT clauses.
-var CountSatisfied3 = qubo.CountSatisfied3
-
-// SetCover is the MIN-COVER problem reduced to QUBO with counting variables.
-type SetCover = qubo.SetCover
-
-// MinSetCover builds the weighted MIN-COVER QUBO (§2.1 workload).
-var MinSetCover = qubo.MinSetCover
-
-// SafeSetCoverPenalty returns a constraint penalty dominating the objective.
-var SafeSetCoverPenalty = qubo.SafeSetCoverPenalty
-
-// IsSetCover reports whether chosen set indices cover the universe.
-var IsSetCover = qubo.IsSetCover

@@ -103,3 +103,17 @@ func TestFacadeRequiredReads(t *testing.T) {
 		t.Error("DW2Timings anneal time wrong")
 	}
 }
+
+// TestFacadeCompiledKernel solves through the facade with parallel readout:
+// Config.ReadWorkers fans the compiled annealing kernel's reads across a
+// worker pool without changing the answer.
+func TestFacadeCompiledKernel(t *testing.T) {
+	cfg := splitexec.Config{Seed: 3, ReadWorkers: 4}
+	sol, err := splitexec.NewSolver(cfg).SolveQUBO(splitexec.MaxCut(splitexec.Cycle(6), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Energy != -6 {
+		t.Fatalf("parallel-read solve energy = %v, want -6", sol.Energy)
+	}
+}
