@@ -3,6 +3,9 @@ package main
 import (
 	"flag"
 	"log"
+	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"github.com/splitexec/splitexec/internal/anneal"
@@ -36,12 +39,19 @@ func runQpud(args []string) {
 	}
 	srv := qpuserver.NewServer(timings, anneal.SamplerOptions{Sweeps: *sweeps, BitParallel: *bitpar})
 	srv.SetReadWorkers(*workers)
-	srv.Logf = log.Printf
 	if *validate {
 		srv.Hardware = graph.Chimera{M: *m, N: *ncols, L: 4}.Graph()
 		log.Printf("splitexec qpud: enforcing topology C(%d,%d,4)", *m, *ncols)
 	}
-	if err := srv.ListenAndLog(*addr); err != nil {
+	bound, err := srv.Listen(*addr)
+	if err != nil {
 		log.Fatalf("splitexec qpud: %v", err)
 	}
+	log.Printf("splitexec qpud: serving simulated QPU on %s", bound)
+
+	// Serve until interrupted, then close every client connection.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	srv.Close()
 }

@@ -3,7 +3,6 @@ package qpuserver
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"time"
 
@@ -17,12 +16,14 @@ import (
 // the network round-trip time of every call so the interface cost the paper
 // leaves unmodeled becomes measurable.
 //
-// Client is safe for concurrent use; calls serialize on the connection.
+// Client is safe for concurrent use; calls serialize on the connection. Its
+// connection is a Conn: Close interrupts a call stuck on the network, and a
+// call that fails on I/O (a timeout included) retires the connection, so
+// the next call redials instead of reading a stale reply.
 type Client struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	timeout time.Duration // per-round-trip I/O deadline; 0 = none
+	conn *Conn
 
+	mu         sync.Mutex // serializes calls; never held by Close
 	programmed bool
 	dim        int
 
@@ -41,43 +42,25 @@ func Dial(addr string) (*Client, error) {
 // the caller forever — the failure mode a dispatch-service worker cannot
 // afford.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, err := DialConn(addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("qpuserver: dial %s: %w", addr, err)
+		return nil, err
 	}
-	return &Client{conn: conn, timeout: timeout}, nil
+	return &Client{conn: conn}, nil
 }
 
 // SetTimeout bounds every subsequent round trip (write + read) by d; 0
-// removes the bound. A timed-out round trip leaves the connection with an
-// unread response in flight, so treat the client as broken after one.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.timeout = d
-	c.mu.Unlock()
-}
+// removes the bound.
+func (c *Client) SetTimeout(d time.Duration) { c.conn.SetTimeout(d) }
 
-// Close releases the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.conn.Close()
-}
+// Close releases the connection, interrupting a call in flight.
+func (c *Client) Close() error { return c.conn.Close() }
 
 // roundTrip sends req and decodes the response, timing the exchange.
 func (c *Client) roundTrip(req Request) (Response, error) {
 	start := time.Now()
-	if c.timeout > 0 {
-		if err := c.conn.SetDeadline(start.Add(c.timeout)); err != nil {
-			return Response{}, fmt.Errorf("qpuserver: set deadline: %w", err)
-		}
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if err := WriteMessage(c.conn, req); err != nil {
-		return Response{}, err
-	}
 	var resp Response
-	if err := ReadMessage(c.conn, &resp); err != nil {
+	if err := c.conn.RoundTrip(req, &resp); err != nil {
 		return Response{}, err
 	}
 	c.netTime += time.Since(start)

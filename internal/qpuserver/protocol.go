@@ -10,7 +10,12 @@
 // wall-clock round trips, making the comparison direct).
 //
 // The wire protocol is length-prefixed JSON over TCP: one request, one
-// response per message, multiple messages per connection.
+// response per message, multiple messages per connection. The package also
+// holds the wire's one server side (Endpoint, via Serve) and one client
+// side (Conn), which every TCP tier uses: the QPU server and Client here,
+// the solver service (`splitexec serve`) and the router (`splitexec route`)
+// above them. A fix to accept, shutdown or connection reuse therefore lands
+// in all three tiers at once.
 package qpuserver
 
 import (

@@ -3,7 +3,6 @@ package qpuserver
 import (
 	"errors"
 	"fmt"
-	"log"
 	"math/rand"
 	"net"
 	"sync"
@@ -22,15 +21,12 @@ type Server struct {
 	// Hardware, when non-nil, rejects programs whose couplings are not
 	// couplers of this graph.
 	Hardware *graph.Graph
-	// Logf receives diagnostics; nil silences them.
-	Logf func(format string, args ...interface{})
 
 	mu     sync.Mutex
 	device *anneal.Device
 
-	lnMu sync.Mutex
-	ln   net.Listener
-	wg   sync.WaitGroup
+	epMu sync.Mutex
+	ep   *Endpoint
 }
 
 // NewServer builds a server around a fresh device.
@@ -59,82 +55,43 @@ func (s *Server) SetBitParallel(on bool) {
 	s.mu.Unlock()
 }
 
+// maxServerConns caps a QPU server's concurrent client connections.
+const maxServerConns = 32
+
 // Listen binds addr (e.g. "127.0.0.1:0") and serves until Close. It returns
 // once the listener is bound; serving continues in the background.
 func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
+	s.epMu.Lock()
+	defer s.epMu.Unlock()
+	if s.ep != nil {
+		return nil, errors.New("qpuserver: already listening")
+	}
+	ep, err := Serve(addr, maxServerConns, s.handle)
 	if err != nil {
 		return nil, err
 	}
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr(), nil
+	s.ep = ep
+	return ep.Addr(), nil
 }
 
 // Addr returns the bound listener address, or nil when not listening.
 func (s *Server) Addr() net.Addr {
-	s.lnMu.Lock()
-	defer s.lnMu.Unlock()
-	if s.ln == nil {
+	s.epMu.Lock()
+	defer s.epMu.Unlock()
+	if s.ep == nil {
 		return nil
 	}
-	return s.ln.Addr()
+	return s.ep.Addr()
 }
 
-// Close stops the listener and waits for in-flight connections to finish.
+// Close stops the listener, closes every client connection and waits for
+// their handlers to return.
 func (s *Server) Close() error {
-	s.lnMu.Lock()
-	ln := s.ln
-	s.ln = nil
-	s.lnMu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) logf(format string, args ...interface{}) {
-	if s.Logf != nil {
-		s.Logf(format, args...)
-	}
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if !errors.Is(err, net.ErrClosed) {
-				s.logf("qpuserver: accept: %v", err)
-			}
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	for {
-		var req Request
-		if err := ReadMessage(conn, &req); err != nil {
-			return // EOF or protocol error: drop the connection
-		}
-		resp := s.handle(req)
-		if err := WriteMessage(conn, &resp); err != nil {
-			s.logf("qpuserver: write: %v", err)
-			return
-		}
-	}
+	s.epMu.Lock()
+	ep := s.ep
+	s.ep = nil
+	s.epMu.Unlock()
+	return ep.Close()
 }
 
 // handle executes one request against the shared device.
@@ -192,15 +149,3 @@ func (s *Server) statusLocked() Response {
 }
 
 func errResponse(err error) Response { return Response{OK: false, Error: err.Error()} }
-
-// ListenAndLog is a convenience for `splitexec qpud`: bind, announce, serve
-// forever.
-func (s *Server) ListenAndLog(addr string) error {
-	a, err := s.Listen(addr)
-	if err != nil {
-		return err
-	}
-	log.Printf("splitexec qpud: serving simulated QPU on %s", a)
-	s.wg.Wait()
-	return nil
-}

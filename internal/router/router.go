@@ -260,14 +260,12 @@ type Router struct {
 	hotKeys  map[string]service.SolveRequest
 	hotOrder []string
 
-	ln       net.Listener
-	lnMu     sync.Mutex
-	conns    map[net.Conn]struct{}
-	connWG   sync.WaitGroup
+	epMu     sync.Mutex // guards ep and closed
+	ep       *qpuserver.Endpoint
+	closed   bool
 	workerWG sync.WaitGroup
 	healthWG sync.WaitGroup
 	stop     chan struct{}
-	closed   bool
 
 	keysMoved    atomic.Int64
 	warmed       atomic.Int64
@@ -362,7 +360,6 @@ func build(opts Options) *Router {
 	r := &Router{
 		opts:    opts,
 		hotKeys: map[string]service.SolveRequest{},
-		conns:   map[net.Conn]struct{}{},
 		stop:    make(chan struct{}),
 	}
 	shards := make([]*shard, len(opts.Shards))
@@ -410,69 +407,28 @@ func ShardKey(req service.SolveRequest) (string, error) {
 	return graph.CanonicalHash(q.Graph()), nil
 }
 
+// maxConns caps the router's concurrent client connections, each of which
+// may hold a qpuserver.MaxMessageBytes decode in flight. 128 is the largest
+// pool an in-repo caller opens (the storm runner's cluster replay).
+const maxConns = 128
+
 // Listen binds addr and serves the wire protocol until Drain. It returns
-// once the listener is bound; serving continues in the background.
+// once the listener is bound; serving continues in the background. Each
+// connection's requests are answered in order, forwarded through the
+// dispatch fabric, so queue backpressure propagates to the submitting
+// connection exactly as it does on a single node.
 func (r *Router) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
+	r.epMu.Lock()
+	defer r.epMu.Unlock()
+	if r.ep != nil {
+		return nil, errors.New("router: already listening")
+	}
+	ep, err := qpuserver.Serve(addr, maxConns, r.handle)
 	if err != nil {
 		return nil, err
 	}
-	r.lnMu.Lock()
-	if r.ln != nil {
-		r.lnMu.Unlock()
-		ln.Close()
-		return nil, errors.New("router: already listening")
-	}
-	r.ln = ln
-	r.lnMu.Unlock()
-	r.connWG.Add(1)
-	go r.acceptLoop(ln)
-	return ln.Addr(), nil
-}
-
-func (r *Router) acceptLoop(ln net.Listener) {
-	defer r.connWG.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		r.lnMu.Lock()
-		if r.ln != ln {
-			r.lnMu.Unlock()
-			conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.lnMu.Unlock()
-		r.connWG.Add(1)
-		go func() {
-			defer r.connWG.Done()
-			defer func() {
-				r.lnMu.Lock()
-				delete(r.conns, conn)
-				r.lnMu.Unlock()
-				conn.Close()
-			}()
-			r.serveConn(conn)
-		}()
-	}
-}
-
-// serveConn answers one connection's requests in order, forwarding each
-// through the dispatch fabric. Queue backpressure propagates to the
-// submitting connection exactly as it does on a single node.
-func (r *Router) serveConn(conn net.Conn) {
-	for {
-		var req service.SolveRequest
-		if err := qpuserver.ReadMessage(conn, &req); err != nil {
-			return // EOF or framing error: drop the connection
-		}
-		resp := r.handle(req)
-		if err := qpuserver.WriteMessage(conn, &resp); err != nil {
-			return
-		}
-	}
+	r.ep = ep
+	return ep.Addr(), nil
 }
 
 // handle routes one request and waits out its round trip.
@@ -615,7 +571,7 @@ func (r *Router) worker(sh *shard) {
 		// I/O failure: the round trip may have been interrupted by
 		// FailShard (client closed) or the shard may be gone. Re-dispatch
 		// against the retry budget.
-		if errors.Is(err, service.ErrClientClosed) {
+		if errors.Is(err, qpuserver.ErrClosed) {
 			c = nil // FailShard retired this client; dial fresh next job
 		}
 		r.retry(pj, err)
@@ -682,7 +638,7 @@ func (r *Router) markDown(sh *shard) {
 	clear(sh.clients)
 	sh.mu.Unlock()
 	r.mu.Unlock()
-	// Interrupt in-flight round trips: the workers see ErrClientClosed and
+	// Interrupt in-flight round trips: the workers see qpuserver.ErrClosed and
 	// walk the re-dispatch path.
 	for _, c := range clients {
 		c.Close()
@@ -788,9 +744,9 @@ func (r *Router) AddShard(addr string) (idx, warmed int, err error) {
 	if err != nil {
 		return -1, 0, fmt.Errorf("router: add shard %s: backend refused ping: %w", addr, err)
 	}
-	r.lnMu.Lock()
+	r.epMu.Lock()
 	draining := r.closed
-	r.lnMu.Unlock()
+	r.epMu.Unlock()
 	if draining {
 		return -1, 0, errors.New("router: draining")
 	}
@@ -1042,26 +998,15 @@ func (r *Router) InRing() []bool {
 // health loop stops, dispatch queues close, and the workers finish. Safe to
 // call more than once.
 func (r *Router) Drain() {
-	r.lnMu.Lock()
+	r.epMu.Lock()
 	if r.closed {
-		r.lnMu.Unlock()
+		r.epMu.Unlock()
 		return
 	}
 	r.closed = true
-	ln := r.ln
-	r.ln = nil
-	conns := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.lnMu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	r.connWG.Wait()
+	ep := r.ep
+	r.epMu.Unlock()
+	ep.Close()
 	close(r.stop)
 	r.healthWG.Wait()
 	for _, sh := range r.snapshot() {

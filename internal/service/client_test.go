@@ -1,199 +1,87 @@
 package service
 
 import (
-	"encoding/binary"
 	"errors"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
-	"github.com/splitexec/splitexec/internal/arch"
 	"github.com/splitexec/splitexec/internal/qpuserver"
 )
 
 // TestClientCloseInterruptsHungServer is the regression test for the
-// lifecycle-mutex bug: with no timeout and a server that accepts but never
-// answers, a round trip blocks forever on the read — and Close used to
-// queue up behind it on the same mutex. Close must interrupt the blocked
-// I/O and return immediately, and the interrupted call must surface
-// ErrClientClosed, not a raw network error.
+// lifecycle-mutex bug, once per typed client built on qpuserver.Conn: with
+// no timeout and a server that accepts but never answers, a round trip
+// blocks forever on the read — and Close used to queue up behind it on the
+// client's mutex. Close must interrupt the blocked I/O and return at once,
+// and the interrupted call must surface qpuserver.ErrClosed, not a raw
+// network error.
 func TestClientCloseInterruptsHungServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	hung := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
+	// The timeout stays 0: a call can only return if Close interrupts it.
+	t.Run("service.Client", func(t *testing.T) {
+		c, err := Dial(hungServer(t))
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-		hung <- conn // hold the conn open, never read or write
-	}()
-
-	c, err := Dial(ln.Addr().String()) // timeout stays 0: the call can only return if Close interrupts it
-	if err != nil {
-		t.Fatal(err)
-	}
-	callErr := make(chan error, 1)
-	go func() { callErr <- c.Ping() }()
-
-	time.Sleep(50 * time.Millisecond) // let the ping get stuck in the read
-	closed := make(chan error, 1)
-	go func() { closed <- c.Close() }()
-
-	select {
-	case err := <-closed:
+		checkCloseInterrupts(t, c.Ping, c.Close)
+	})
+	t.Run("qpuserver.Client", func(t *testing.T) {
+		c, err := qpuserver.Dial(hungServer(t))
 		if err != nil {
-			t.Errorf("Close: %v", err)
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close wedged behind the in-flight round trip")
-	}
-	select {
-	case err := <-callErr:
-		if !errors.Is(err, ErrClientClosed) {
-			t.Errorf("interrupted round trip: err = %v, want ErrClientClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("round trip still blocked after Close")
-	}
-	if conn := <-hung; conn != nil {
-		conn.Close()
-	}
-	// Close is idempotent and sticky.
-	if err := c.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
-	if err := c.Ping(); !errors.Is(err, ErrClientClosed) {
-		t.Errorf("Ping after Close: %v, want ErrClientClosed", err)
-	}
+		checkCloseInterrupts(t, func() error { _, err := c.Status(); return err }, c.Close)
+	})
 }
 
-// TestClientRedialAfterMidFrameStall is the stream-desync regression: a
-// deadline firing mid-frame used to leave the connection carrying a partial
-// length-prefixed message, and the next round trip decoded garbage off it.
-// The fixed client retires the connection on any I/O error and redials, so
-// the call after a timeout gets a clean stream and a correct answer.
-func TestClientRedialAfterMidFrameStall(t *testing.T) {
+// hungServer accepts connections and never reads or answers them.
+func hungServer(t *testing.T) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// Connection 1: read the request, then stall mid-frame — write a
-		// header promising 64 payload bytes but deliver only 5. The
-		// client's deadline fires with the partial frame on the stream.
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		var req SolveRequest
-		if err := qpuserver.ReadMessage(conn, &req); err != nil {
-			conn.Close()
-			return
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], 64)
-		conn.Write(hdr[:])
-		conn.Write([]byte(`{"ok"`))
-		defer conn.Close()
-
-		// Connection 2: a well-behaved server. If the client wrongly
-		// reused connection 1, this accept never happens and the test
-		// fails on the second call's error instead of hanging.
-		conn2, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn2.Close()
-		if err := qpuserver.ReadMessage(conn2, &req); err != nil {
-			return
-		}
-		qpuserver.WriteMessage(conn2, SolveResponse{OK: true, Reads: 42})
-	}()
-
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetTimeout(200 * time.Millisecond)
-
-	p := arch.JobProfile{PreProcess: time.Millisecond}
-	if _, err := c.Profile(p); err == nil {
-		t.Fatal("mid-frame stall did not surface an error")
-	} else if errors.Is(err, ErrClientClosed) {
-		t.Fatalf("stall surfaced as ErrClientClosed: %v", err)
-	}
-
-	c.SetTimeout(5 * time.Second)
-	resp, err := c.Profile(p)
-	if err != nil {
-		t.Fatalf("round trip after mid-frame stall: %v (desynced stream reused?)", err)
-	}
-	if !resp.OK || resp.Reads != 42 {
-		t.Errorf("post-stall response decoded wrong: %+v", resp)
-	}
-	wg.Wait()
-}
-
-// TestClientServerErrorKeepsConnection: an application-level refusal
-// (resp.OK == false) is a healthy protocol exchange — the client must keep
-// the connection rather than burn a redial per refused request.
-func TestClientServerErrorKeepsConnection(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepts := make(chan struct{}, 4)
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			accepts <- struct{}{}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					var req SolveRequest
-					if err := qpuserver.ReadMessage(conn, &req); err != nil {
-						return
-					}
-					if req.Ping {
-						qpuserver.WriteMessage(conn, SolveResponse{OK: true})
-						continue
-					}
-					qpuserver.WriteMessage(conn, SolveResponse{OK: false, Error: "refused"})
-				}
-			}(conn)
+			defer conn.Close() // held open until the listener closes
 		}
 	}()
+	t.Cleanup(func() { ln.Close() })
+	return ln.Addr().String()
+}
 
-	c, err := Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetTimeout(5 * time.Second)
-	for i := 0; i < 3; i++ {
-		if _, err := c.Profile(arch.JobProfile{PreProcess: time.Millisecond}); err == nil {
-			t.Fatal("refused request reported success")
+func checkCloseInterrupts(t *testing.T, call, closeFn func() error) {
+	t.Helper()
+	callErr := make(chan error, 1)
+	go func() { callErr <- call() }()
+	time.Sleep(50 * time.Millisecond) // let the call get stuck in the read
+	closed := make(chan error, 1)
+	go func() { closed <- closeFn() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Errorf("Close: %v", err)
 		}
-		if err := c.Ping(); err != nil {
-			t.Fatalf("ping %d after refusal: %v", i, err)
-		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close wedged behind the in-flight round trip")
 	}
-	if got := len(accepts); got != 1 {
-		t.Errorf("server saw %d connections, want 1 — refusals must not burn the conn", got)
+	select {
+	case err := <-callErr:
+		if !errors.Is(err, qpuserver.ErrClosed) {
+			t.Errorf("interrupted call: err = %v, want qpuserver.ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("call still blocked after Close")
+	}
+	// Close is idempotent and sticky.
+	if err := closeFn(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if err := call(); !errors.Is(err, qpuserver.ErrClosed) {
+		t.Errorf("call after Close: %v, want qpuserver.ErrClosed", err)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"runtime"
 	"sync"
 	"time"
@@ -42,6 +41,7 @@ import (
 	"github.com/splitexec/splitexec/internal/machine"
 	"github.com/splitexec/splitexec/internal/obs"
 	"github.com/splitexec/splitexec/internal/parallel"
+	"github.com/splitexec/splitexec/internal/qpuserver"
 	"github.com/splitexec/splitexec/internal/qubo"
 	"github.com/splitexec/splitexec/internal/sched"
 	"github.com/splitexec/splitexec/internal/stats"
@@ -90,11 +90,6 @@ type Options struct {
 	// Seed derives the per-job RNG streams (parallel.DeriveSeed(Seed,
 	// submission index)); the zero seed is valid and deterministic.
 	Seed int64
-	// MaxConns bounds the concurrent connections the TCP front-end
-	// accepts; connections beyond it are closed immediately. Values <= 0
-	// select 32. Together with MaxWireDim this caps the decode memory a
-	// client population can demand.
-	MaxConns int
 	// MaxRetries is the per-job retry budget for leases revoked by device
 	// deaths (FailDevice): a job whose service attempt aborts re-acquires
 	// a device after RetryBackoff, up to this many times, then fails with
@@ -131,9 +126,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Base.Node.Name == "" {
 		o.Base.Node = machine.SimpleNode()
-	}
-	if o.MaxConns <= 0 {
-		o.MaxConns = 32
 	}
 	return o
 }
@@ -231,10 +223,8 @@ type Service struct {
 	om    svcMetrics // telemetry handles (obs.go); nil handles when disabled
 	wg    sync.WaitGroup
 
-	// TCP front-end state (wire.go); ln and conns are guarded by mu.
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	connWG sync.WaitGroup
+	epMu sync.Mutex
+	ep   *qpuserver.Endpoint // TCP front-end (wire.go); nil when not listening
 
 	mu          sync.Mutex
 	next        int // next submission index

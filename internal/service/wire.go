@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"sync"
 	"time"
 
 	"github.com/splitexec/splitexec/internal/arch"
@@ -15,16 +14,17 @@ import (
 )
 
 // The solver service speaks the same length-prefixed JSON framing as the
-// QPU server (qpuserver.WriteMessage/ReadMessage), one level up the stack:
-// where qpud serves annealing reads over a hardware Ising program, this
-// front-end serves complete split-execution solves over a QUBO. A
-// connection carries any number of request/response pairs; requests from
-// concurrent connections interleave through the service's FIFO queue, and
-// queue backpressure propagates to the submitting connection.
+// QPU server, one level up the stack, through the same two halves of the
+// wire: its front-end is a qpuserver.Endpoint and its Client a
+// qpuserver.Conn. Where qpud serves annealing reads over a hardware Ising
+// program, this front-end serves complete split-execution solves over a
+// QUBO. A connection carries any number of request/response pairs;
+// requests from concurrent connections interleave through the service's
+// queue, and queue backpressure propagates to the submitting connection.
 
 // MaxWireDim bounds the problem dimension a serve front-end accepts. A
 // decoded QUBO allocates O(dim²) coefficients from an O(1)-byte request, so
-// this cap — together with the connection cap (Options.MaxConns) — bounds
+// this cap — together with the connection cap (maxConns) — bounds
 // the memory a hostile client population can commit. 1024 logical
 // variables is already far beyond what any modeled QPU topology embeds.
 const MaxWireDim = 1024
@@ -243,25 +243,27 @@ func DecodeQUBO(req SolveRequest) (*qubo.QUBO, error) {
 	return q, nil
 }
 
+// maxConns caps the concurrent connections the TCP front-end accepts;
+// connections beyond it are closed immediately. Together with MaxWireDim
+// this caps the decode memory a client population can demand.
+const maxConns = 32
+
 // Listen binds addr and serves solve requests until CloseListener (or
 // Drain). It returns once the listener is bound; serving continues in the
-// background.
+// background. Submit blocks under backpressure, so a saturated service
+// slows its clients instead of buffering unboundedly.
 func (s *Service) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
+	s.epMu.Lock()
+	defer s.epMu.Unlock()
+	if s.ep != nil {
+		return nil, errors.New("service: already listening")
+	}
+	ep, err := qpuserver.Serve(addr, maxConns, s.handleSolve)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if s.ln != nil {
-		s.mu.Unlock()
-		ln.Close()
-		return nil, errors.New("service: already listening")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	s.connWG.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr(), nil
+	s.ep = ep
+	return ep.Addr(), nil
 }
 
 // CloseListener stops the TCP front-end: it closes the listener and every
@@ -269,79 +271,11 @@ func (s *Service) Listen(addr string) (net.Addr, error) {
 // fails with a write error), then waits for the connection handlers to
 // finish. Jobs already queued keep running — call Drain to finish them.
 func (s *Service) CloseListener() error {
-	s.mu.Lock()
-	ln := s.ln
-	s.ln = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.connWG.Wait()
-	return err
-}
-
-func (s *Service) acceptLoop(ln net.Listener) {
-	defer s.connWG.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.ln != ln {
-			// CloseListener won the race after Accept returned: its
-			// connection snapshot cannot contain this one, so close it
-			// here or connWG.Wait would hang on its handler.
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		if len(s.conns) >= s.opts.MaxConns {
-			s.mu.Unlock()
-			conn.Close() // over the connection cap: shed load
-			continue
-		}
-		if s.conns == nil {
-			s.conns = make(map[net.Conn]struct{})
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.connWG.Add(1)
-		go func() {
-			defer s.connWG.Done()
-			defer func() {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-				conn.Close()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// serveConn answers one connection's requests in order. Submit blocks under
-// backpressure, so a saturated service slows its clients instead of
-// buffering unboundedly.
-func (s *Service) serveConn(conn net.Conn) {
-	for {
-		var req SolveRequest
-		if err := qpuserver.ReadMessage(conn, &req); err != nil {
-			return // EOF or framing error: drop the connection
-		}
-		resp := s.handleSolve(req)
-		if err := qpuserver.WriteMessage(conn, &resp); err != nil {
-			return
-		}
-	}
+	s.epMu.Lock()
+	ep := s.ep
+	s.ep = nil
+	s.epMu.Unlock()
+	return ep.Close()
 }
 
 func (s *Service) handleSolve(req SolveRequest) SolveResponse {
@@ -418,36 +352,13 @@ func (s *Service) handleProfile(req SolveRequest) SolveResponse {
 	}
 }
 
-// ErrClientClosed is returned by round trips on (or interrupted by) a
-// closed Client.
-var ErrClientClosed = errors.New("service: client closed")
-
-// Client is the remote handle to a serving solver service.
-//
-// Lifecycle and the round-trip path are deliberately decoupled: opMu
-// serializes round trips while mu guards only the connection state, so
-// Close from another goroutine closes the connection out from under an
-// in-flight solve and unblocks it immediately — even with no timeout set
-// against a hung or partitioned server.
-//
-// The length-prefixed stream is stateful: a deadline firing mid-frame (or
-// any other I/O error) can leave a partially written request or partially
-// read response on the wire, after which the next frame would decode
-// garbage. A Client therefore never reuses a connection that saw an I/O
-// error — the connection is torn down on the spot and the next round trip
-// transparently redials. Server-reported errors (a refused QUBO, an
-// oversized profile) arrive in complete frames and keep the connection.
+// Client is the remote handle to a serving solver service. Its connection
+// is a qpuserver.Conn: round trips serialize, Close interrupts one stuck on
+// the network (it fails with qpuserver.ErrClosed), a connection that saw an
+// I/O error is retired and redialed, and a server-reported error (a refused
+// QUBO, an oversized profile) keeps the connection.
 type Client struct {
-	addr string
-
-	// opMu serializes round trips. It is never held by Close, and the
-	// network I/O under it never holds mu.
-	opMu sync.Mutex
-
-	mu      sync.Mutex // guards conn, timeout, closed
-	conn    net.Conn
-	timeout time.Duration
-	closed  bool
+	conn *qpuserver.Conn
 }
 
 // Dial connects to a solver service front-end.
@@ -460,32 +371,31 @@ func Dial(addr string) (*Client, error) {
 // an unreachable or partitioned service then errors instead of blocking for
 // the OS connect timeout.
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	conn, err := qpuserver.DialConn(addr, timeout)
 	if err != nil {
-		return nil, fmt.Errorf("service: dial %s: %w", addr, err)
+		return nil, err
 	}
-	return &Client{addr: addr, conn: conn, timeout: timeout}, nil
+	return &Client{conn: conn}, nil
 }
 
 // SetTimeout bounds each Solve round trip (0 disables). Solves queue behind
 // other clients' jobs on a saturated service, so the bound should cover the
 // expected queue wait, not just the solve.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.mu.Lock()
-	c.timeout = d
-	c.mu.Unlock()
-}
+func (c *Client) SetTimeout(d time.Duration) { c.conn.SetTimeout(d) }
+
+// Close releases the connection, interrupting a round trip in flight.
+func (c *Client) Close() error { return c.conn.Close() }
 
 // Solve submits a QUBO and blocks until the service returns the solution.
 func (c *Client) Solve(q *qubo.QUBO) (SolveResponse, error) {
-	return c.roundTrip(EncodeQUBO(q))
+	return c.Do(EncodeQUBO(q))
 }
 
 // Profile submits a synthetic profile job — the load generator's unit of
 // work — and blocks until the service has replayed its phase costs,
 // returning the measured per-job metrics.
 func (c *Client) Profile(p arch.JobProfile) (SolveResponse, error) {
-	return c.roundTrip(EncodeProfile(p))
+	return c.Do(EncodeProfile(p))
 }
 
 // ProfileClass is Profile with explicit scheduling attributes, so a remote
@@ -496,13 +406,13 @@ func (c *Client) ProfileClass(p arch.JobProfile, class JobClass) (SolveResponse,
 	req.Class = class.Class
 	req.Priority = class.Priority
 	req.Weight = class.Weight
-	return c.roundTrip(req)
+	return c.Do(req)
 }
 
 // Ping round-trips a health probe: an immediate OK from a live server,
 // skipping the job queue entirely.
 func (c *Client) Ping() error {
-	_, err := c.roundTrip(SolveRequest{Ping: true})
+	_, err := c.Do(SolveRequest{Ping: true})
 	return err
 }
 
@@ -510,7 +420,7 @@ func (c *Client) Ping() error {
 // when the verb applied; a plain service (or an older router) refuses the
 // frame with a server error.
 func (c *Client) Admin(a WireAdmin) (*WireAdminReply, error) {
-	resp, err := c.roundTrip(SolveRequest{Admin: &a})
+	resp, err := c.Do(SolveRequest{Admin: &a})
 	if err != nil {
 		return nil, err
 	}
@@ -524,100 +434,12 @@ func (c *Client) Admin(a WireAdmin) (*WireAdminReply, error) {
 // frames through this without re-encoding them. A response with OK false
 // is returned alongside the server error, exactly like the typed methods.
 func (c *Client) Do(req SolveRequest) (SolveResponse, error) {
-	return c.roundTrip(req)
-}
-
-func (c *Client) roundTrip(req SolveRequest) (SolveResponse, error) {
-	c.opMu.Lock()
-	defer c.opMu.Unlock()
-	conn, timeout, err := c.ensureConn()
-	if err != nil {
-		return SolveResponse{}, err
-	}
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return SolveResponse{}, c.ioError(conn, err)
-		}
-	}
-	if err := qpuserver.WriteMessage(conn, req); err != nil {
-		return SolveResponse{}, c.ioError(conn, err)
-	}
 	var resp SolveResponse
-	if err := qpuserver.ReadMessage(conn, &resp); err != nil {
-		return SolveResponse{}, c.ioError(conn, err)
-	}
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			// The frame completed, but the connection state is suspect;
-			// retire it rather than risk a desynced reuse.
-			c.ioError(conn, err)
-		}
+	if err := c.conn.RoundTrip(req, &resp); err != nil {
+		return SolveResponse{}, err
 	}
 	if !resp.OK {
 		return resp, fmt.Errorf("service: server error: %s", resp.Error)
 	}
 	return resp, nil
-}
-
-// ensureConn returns the live connection, redialing if the previous one was
-// retired by an I/O error. The dial happens outside mu so a concurrent
-// Close is never blocked behind an unresponsive network.
-func (c *Client) ensureConn() (net.Conn, time.Duration, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, 0, ErrClientClosed
-	}
-	if c.conn != nil {
-		conn, timeout := c.conn, c.timeout
-		c.mu.Unlock()
-		return conn, timeout, nil
-	}
-	timeout := c.timeout
-	c.mu.Unlock()
-
-	conn, err := net.DialTimeout("tcp", c.addr, timeout)
-	if err != nil {
-		return nil, 0, fmt.Errorf("service: redial %s: %w", c.addr, err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		conn.Close()
-		return nil, 0, ErrClientClosed
-	}
-	c.conn = conn
-	return conn, c.timeout, nil
-}
-
-// ioError retires a connection after an I/O failure: the stream may hold a
-// partial frame, so it must never carry another request. When the failure
-// was induced by a concurrent Close, the close is the real story.
-func (c *Client) ioError(conn net.Conn, err error) error {
-	c.mu.Lock()
-	if c.conn == conn {
-		c.conn = nil
-	}
-	closed := c.closed
-	c.mu.Unlock()
-	conn.Close()
-	if closed {
-		return ErrClientClosed
-	}
-	return err
-}
-
-// Close releases the connection. A round trip blocked on the network is
-// interrupted immediately (it fails with ErrClientClosed) — Close never
-// waits behind in-flight I/O.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	conn := c.conn
-	c.conn = nil
-	c.closed = true
-	c.mu.Unlock()
-	if conn != nil {
-		return conn.Close()
-	}
-	return nil
 }

@@ -130,45 +130,6 @@ func TestServeSolve(t *testing.T) {
 	}
 }
 
-// TestServeConnectionCap: connections beyond MaxConns are shed immediately
-// instead of committing decode memory and a handler goroutine.
-func TestServeConnectionCap(t *testing.T) {
-	svc, err := New(Options{Workers: 1, Fleet: 1, Base: testBase(), MaxConns: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	addr, err := svc.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer svc.Drain()
-
-	first, err := DialTimeout(addr.String(), 5*time.Second)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer first.Close()
-	q := qubo.MaxCut(graph.Cycle(4), nil)
-	if _, err := first.Solve(q); err != nil {
-		t.Fatalf("first connection solve: %v", err) // also forces registration
-	}
-
-	second, err := DialTimeout(addr.String(), 5*time.Second)
-	if err != nil {
-		t.Fatalf("Dial: %v", err) // TCP accept succeeds; the server sheds after
-	}
-	defer second.Close()
-	second.SetTimeout(5 * time.Second)
-	if _, err := second.Solve(q); err == nil {
-		t.Error("over-cap connection was served")
-	}
-
-	// The in-cap connection keeps working.
-	if _, err := first.Solve(q); err != nil {
-		t.Errorf("in-cap connection broken after shed: %v", err)
-	}
-}
-
 // TestProfileWireRoundTrip: Encode→Decode is the identity on phase costs,
 // and malformed profiles must error.
 func TestProfileWireRoundTrip(t *testing.T) {

@@ -191,7 +191,7 @@ func runScenario(entry corpusEntry, opts Options) ScenarioResult {
 	res.DESP99 = pred.Sojourn.P99
 	for attempt := 1; attempt <= opts.Attempts; attempt++ {
 		res.Attempts = attempt
-		if err := replayLive(sc, pred, &res, opts); err != nil {
+		if err := replay(sc, pred, &res, opts); err != nil {
 			res.Error = err.Error()
 			return res
 		}
@@ -205,89 +205,188 @@ func runScenario(entry corpusEntry, opts Options) ScenarioResult {
 	return res
 }
 
-// replayLive brings up the scenario's deployment, serves it over loopback
-// TCP, replays the workload (faults included) through the load generator,
-// drains, and fills in the attempt's measurements and verdict. Cluster
-// scenarios bring up the full federation: one service per shard behind a
-// router front end, with shard faults driven through the router's
-// membership hooks.
-func replayLive(sc *workload.Scenario, pred *des.Result, res *ScenarioResult, opts Options) error {
-	if sc.TotalShards() > 1 {
-		// Federated now or later: a single-shard scenario that schedules a
-		// join is still a cluster replay.
-		return replayCluster(sc, pred, res, opts)
-	}
+// replay brings up the scenario's deployment, serves it over loopback TCP,
+// replays the workload (faults included) through the load generator,
+// drains, and fills in the attempt's measurements and verdict. A
+// single-shard scenario is one service. A cluster scenario brings up the
+// federation: one service per shard slot behind a router front end, with
+// shard faults and membership events driven through the router's hooks.
+// Either way the conservation check aggregates the per-shard ledgers, so a
+// job lost (or double-completed) across an epoch flip fails the scenario
+// even when the latency band passes.
+func replay(sc *workload.Scenario, pred *des.Result, res *ScenarioResult, opts Options) error {
+	// Federated now or later: a single-shard scenario that schedules a
+	// join is still a cluster replay.
+	shards := sc.TotalShards()
 	depth := sc.Horizon.Jobs
 	if depth <= 0 {
 		depth = 1024
 	}
-	// One telemetry scope per attempt, handed to the serving side only: the
-	// in-process service feeds the drift alarm with its authoritative
-	// sojourns, so the generator must not observe the same jobs again.
+	// One telemetry scope per attempt. A lone service takes it and feeds
+	// the drift alarm with its authoritative sojourns, so the generator
+	// must not observe the same jobs again. In the federation the scope
+	// instruments the router and the generator instead: the per-shard
+	// services stay unscoped (their gauges are unlabelled, so N shards on
+	// one registry would collide), and the generator — driving a remote
+	// target — owns the drift-alarm feed.
 	scope := replayScope(opts, sc, pred)
 	svcOpts := service.Options{
 		Workers:    sc.System.Hosts,
 		Fleet:      sc.System.QPUs(),
 		QueueDepth: depth,
 		Policy:     sc.Policy,
-		Obs:        scope,
+	}
+	lgScope := scope
+	if shards == 1 {
+		svcOpts.Obs, lgScope = scope, nil
 	}
 	if sc.Faults != nil {
 		svcOpts.MaxRetries = sc.RetryLimit()
 		svcOpts.RetryBackoff = sc.RetryBackoff()
 	}
-	svc, err := service.New(svcOpts)
-	if err != nil {
-		return err
+	svcs := make([]*service.Service, 0, shards)
+	var rt *router.Router
+	drainAll := func() (jobs, failed, submitted int) {
+		if rt != nil {
+			rt.Drain()
+		}
+		for _, svc := range svcs {
+			d := svc.Drain()
+			jobs += d.Jobs
+			failed += d.Failed
+			submitted += d.Submitted
+		}
+		return
+	}
+	addrs := make([]string, 0, shards)
+	for i := 0; i < shards; i++ {
+		svc, err := service.New(svcOpts)
+		if err != nil {
+			drainAll()
+			return err
+		}
+		svcs = append(svcs, svc)
+		addr, err := svc.Listen("127.0.0.1:0")
+		if err != nil {
+			drainAll()
+			return err
+		}
+		addrs = append(addrs, addr.String())
+	}
+
+	front := addrs[0]
+	var timers []*time.Timer
+	if shards > 1 {
+		rtOpts := router.Options{
+			Shards:         addrs[:sc.ShardCount()], // joiners enter via AddShard
+			QueueDepth:     depth,
+			StealThreshold: sc.StealThreshold(),
+			PingEvery:      -1, // membership is driven by the fault schedule
+			Obs:            scope,
+		}
+		if sc.Cluster != nil {
+			rtOpts.Replicas = sc.Cluster.Replicas
+		}
+		if sc.Faults != nil {
+			rtOpts.MaxRetries = sc.RetryLimit()
+			rtOpts.Backoff = sc.RetryBackoff()
+		}
+		var err error
+		if rt, err = router.New(rtOpts); err != nil {
+			drainAll()
+			return err
+		}
+		addr, err := rt.Listen("127.0.0.1:0")
+		if err != nil {
+			drainAll()
+			return err
+		}
+		front = addr.String()
+
+		// A declared shard fault is applied through the router's
+		// membership hooks — FailShard interrupts the victim's in-flight
+		// round trips exactly as a crashed shard would, and RestoreShard
+		// re-admits it when the outage window closes — so the re-dispatch
+		// machinery is exercised on the real wire.
+		if sc.HasShardFault() {
+			sf := sc.Faults.Shard
+			timers = append(timers, time.AfterFunc(sf.At.D(), func() { rt.FailShard(sf.Shard) }))
+			if sf.For > 0 {
+				timers = append(timers, time.AfterFunc((sf.At+sf.For).D(), func() { rt.RestoreShard(sf.Shard) }))
+			}
+		}
+		// The membership schedule drives the same elastic hooks `splitexec
+		// admin` does: every slot a join will ever claim is provisioned up
+		// front (mirroring the DES's shard table), the router starts over
+		// the initial members only, and each event fires at its scheduled
+		// wall-clock offset — AddShard warms and admits the joiner's
+		// backend, DrainShard retires a member gracefully. Joins are
+		// validated to claim fresh slots in order, so AddShard assigns
+		// exactly the slot index the scenario names. Errors are
+		// deliberately not fatal here — a drain refused because a
+		// crash-fault already emptied the ring shows up in the band/ledger
+		// verdict instead.
+		for _, me := range sc.MemberEvents() {
+			timers = append(timers, time.AfterFunc(me.At.D(), func() {
+				if me.Kind == workload.JoinEvent {
+					if _, _, err := rt.AddShard(addrs[me.Shard]); err != nil {
+						logf(opts.Log, "storm: join shard=%d: %v", me.Shard, err)
+					}
+				} else if err := rt.DrainShard(me.Shard); err != nil {
+					logf(opts.Log, "storm: drain shard=%d: %v", me.Shard, err)
+				}
+			}))
+		}
 	}
 	admin, err := serveObs(opts.ObsAddr, scope)
 	if err != nil {
-		svc.Drain()
+		drainAll()
 		return err
 	}
-	addr, err := svc.Listen("127.0.0.1:0")
-	if err != nil {
-		svc.Drain()
-		admin.Close()
-		return err
-	}
-	got, err := loadgen.Run(sc, loadgen.Options{
-		Addr:    addr.String(),
+
+	got, lerr := loadgen.Run(sc, loadgen.Options{
+		Addr:    front,
 		Conns:   conns(sc),
 		Timeout: 30 * time.Second,
+		Obs:     lgScope,
 		// The storm runner owns both halves of the wire, so it can hand
-		// the serving fleet to the generator for device-fault injection.
-		Fleet: svc,
+		// the serving fleets to the generator for device-fault injection:
+		// shard i owns the scenario's global devices [i×QPUs, (i+1)×QPUs).
+		Fleets: svcs,
 	})
-	drained := svc.Drain()
+	for _, t := range timers {
+		t.Stop()
+	}
+	jobs, failed, submitted := drainAll()
 	// Scrape after the drain so the exposition the gate validates carries
 	// the settled counters, then release the admin port for the next attempt.
 	scrapeErr := selfScrape(admin)
 	admin.Close()
-	if err != nil {
-		return err
+	if lerr != nil {
+		return lerr
 	}
+
 	res.Jobs = got.Jobs
 	res.Failed = got.Failed
 	res.Retries = got.Retries
 	res.Drops = got.Drops
 	res.Stolen = got.Stolen
 	res.Redispatched = got.Redispatched
-	res.Submitted = drained.Submitted
+	res.Submitted = submitted
 	res.LiveP99 = got.Sojourn.P99
 	res.Ratio = 0
 	if pred.Sojourn.P99 > 0 {
 		res.Ratio = float64(got.Sojourn.P99) / float64(pred.Sojourn.P99)
 	}
-	// The verdict: p99 in band, and the ledger conserves jobs. Fatal
-	// drops never reach the service, so client-observed completions plus
-	// failures must cover every admitted index on the client side, while
-	// the server's own ledger must balance what it was handed.
-	conserved := drained.Jobs+drained.Failed == drained.Submitted
+	// The verdict: p99 in band, and the ledger conserves jobs. Fatal drops
+	// never reach a service, and a router re-dispatch shows up as a fresh
+	// submission on the survivor, so every shard's own ledger must balance
+	// what it was handed, and the aggregate balances too.
+	conserved := jobs+failed == submitted
 	res.Pass = conserved && res.Ratio >= res.Band.Lo && res.Ratio <= res.Band.Hi
 	if !conserved {
 		res.Error = fmt.Sprintf("ledger leak: %d completed + %d failed != %d submitted",
-			drained.Jobs, drained.Failed, drained.Submitted)
+			jobs, failed, submitted)
 	}
 	return judgeScrape(res, admin, scrapeErr)
 }
@@ -399,177 +498,6 @@ func judgeScrape(res *ScenarioResult, admin *obs.Server, scrapeErr error) error 
 	return nil
 }
 
-// replayCluster realizes a federated scenario: one live service per shard
-// behind a router front end, the load generator driving the router over
-// TCP. A declared shard fault is applied through the router's membership
-// hooks — FailShard interrupts the victim's in-flight round trips exactly
-// as a crashed shard would, and RestoreShard re-admits it when the outage
-// window closes — so the re-dispatch machinery is exercised on the real
-// wire. A membership schedule replays the same way: every slot a join will
-// ever claim is provisioned up front (mirroring the DES's shard table), the
-// router starts over the initial members only, and each event fires the
-// elastic hooks — AddShard warms and admits the joiner's backend,
-// DrainShard retires a member gracefully — at its scheduled wall-clock
-// offset. The conservation check aggregates the per-shard ledgers, so a
-// job lost (or double-completed) across an epoch flip fails the scenario
-// even when the latency band passes.
-func replayCluster(sc *workload.Scenario, pred *des.Result, res *ScenarioResult, opts Options) error {
-	shards := sc.TotalShards()
-	depth := sc.Horizon.Jobs
-	if depth <= 0 {
-		depth = 1024
-	}
-	// In the federation the scope instruments the router and the generator;
-	// the per-shard services stay unscoped (their gauges are unlabelled, so
-	// N shards on one registry would collide), and the generator — driving a
-	// remote target — owns the drift-alarm feed.
-	scope := replayScope(opts, sc, pred)
-	svcOpts := service.Options{
-		Workers:    sc.System.Hosts,
-		Fleet:      sc.System.QPUs(),
-		QueueDepth: depth,
-		Policy:     sc.Policy,
-	}
-	if sc.Faults != nil {
-		svcOpts.MaxRetries = sc.RetryLimit()
-		svcOpts.RetryBackoff = sc.RetryBackoff()
-	}
-	svcs := make([]*service.Service, 0, shards)
-	drainAll := func() (jobs, failed, submitted int) {
-		for _, svc := range svcs {
-			d := svc.Drain()
-			jobs += d.Jobs
-			failed += d.Failed
-			submitted += d.Submitted
-		}
-		return
-	}
-	addrs := make([]string, 0, shards)
-	for i := 0; i < shards; i++ {
-		svc, err := service.New(svcOpts)
-		if err != nil {
-			drainAll()
-			return err
-		}
-		svcs = append(svcs, svc)
-		addr, err := svc.Listen("127.0.0.1:0")
-		if err != nil {
-			drainAll()
-			return err
-		}
-		addrs = append(addrs, addr.String())
-	}
-
-	rtOpts := router.Options{
-		Shards:         addrs[:sc.ShardCount()], // joiners enter via AddShard
-		QueueDepth:     depth,
-		StealThreshold: sc.StealThreshold(),
-		PingEvery:      -1, // membership is driven by the fault schedule
-		Obs:            scope,
-	}
-	if sc.Cluster != nil {
-		rtOpts.Replicas = sc.Cluster.Replicas
-	}
-	if sc.Faults != nil {
-		rtOpts.MaxRetries = sc.RetryLimit()
-		rtOpts.Backoff = sc.RetryBackoff()
-	}
-	rt, err := router.New(rtOpts)
-	if err != nil {
-		drainAll()
-		return err
-	}
-	front, err := rt.Listen("127.0.0.1:0")
-	if err != nil {
-		rt.Drain()
-		drainAll()
-		return err
-	}
-	admin, err := serveObs(opts.ObsAddr, scope)
-	if err != nil {
-		rt.Drain()
-		drainAll()
-		return err
-	}
-
-	var timers []*time.Timer
-	if sc.HasShardFault() {
-		sf := sc.Faults.Shard
-		timers = append(timers, time.AfterFunc(sf.At.D(), func() { rt.FailShard(sf.Shard) }))
-		if sf.For > 0 {
-			timers = append(timers, time.AfterFunc((sf.At+sf.For).D(), func() { rt.RestoreShard(sf.Shard) }))
-		}
-	}
-	// The membership schedule drives the same elastic hooks `splitexec
-	// admin` does. Joins are validated to claim fresh slots in order, so
-	// AddShard assigns exactly the slot index the scenario names. Errors are
-	// deliberately not fatal here — a drain refused because a crash-fault
-	// already emptied the ring shows up in the band/ledger verdict instead.
-	for _, me := range sc.MemberEvents() {
-		me := me
-		timers = append(timers, time.AfterFunc(me.At.D(), func() {
-			if me.Kind == workload.JoinEvent {
-				if _, _, err := rt.AddShard(addrs[me.Shard]); err != nil {
-					logf(opts.Log, "storm: join shard=%d: %v", me.Shard, err)
-				}
-			} else if err := rt.DrainShard(me.Shard); err != nil {
-				logf(opts.Log, "storm: drain shard=%d: %v", me.Shard, err)
-			}
-		}))
-	}
-
-	got, lerr := loadgen.Run(sc, loadgen.Options{
-		Addr:    front.String(),
-		Conns:   clusterConns(sc),
-		Timeout: 30 * time.Second,
-		Obs:     scope,
-		// The per-shard fleets take the scenario's global device-fault
-		// streams, shard i owning devices [i×QPUs, (i+1)×QPUs).
-		Fleets: svcs,
-	})
-	for _, t := range timers {
-		t.Stop()
-	}
-	rt.Drain()
-	jobs, failed, submitted := drainAll()
-	scrapeErr := selfScrape(admin)
-	admin.Close()
-	if lerr != nil {
-		return lerr
-	}
-
-	res.Jobs = got.Jobs
-	res.Failed = got.Failed
-	res.Retries = got.Retries
-	res.Drops = got.Drops
-	res.Stolen = got.Stolen
-	res.Redispatched = got.Redispatched
-	res.Submitted = submitted
-	res.LiveP99 = got.Sojourn.P99
-	res.Ratio = 0
-	if pred.Sojourn.P99 > 0 {
-		res.Ratio = float64(got.Sojourn.P99) / float64(pred.Sojourn.P99)
-	}
-	// Every shard's own ledger must balance — a router re-dispatch shows up
-	// as a fresh submission on the survivor, so the aggregate balances too.
-	conserved := jobs+failed == submitted
-	res.Pass = conserved && res.Ratio >= res.Band.Lo && res.Ratio <= res.Band.Hi
-	if !conserved {
-		res.Error = fmt.Sprintf("cluster ledger leak: %d completed + %d failed != %d submitted",
-			jobs, failed, submitted)
-	}
-	return judgeScrape(res, admin, scrapeErr)
-}
-
-// clusterConns scales the replay pool to the federation width.
-func clusterConns(sc *workload.Scenario) int {
-	n := conns(sc) * sc.ShardCount()
-	if n > 128 {
-		n = 128
-	}
-	return n
-}
-
 // band resolves the scenario's acceptance band.
 func band(sc *workload.Scenario) workload.Band {
 	if sc.Band != nil {
@@ -578,7 +506,8 @@ func band(sc *workload.Scenario) workload.Band {
 	return DefaultBand
 }
 
-// conns sizes the replay connection pool for the scenario's concurrency.
+// conns sizes the replay connection pool for the scenario's concurrency,
+// scaled to the federation width.
 func conns(sc *workload.Scenario) int {
 	n := 4 * sc.System.Hosts
 	if n < 16 {
@@ -587,7 +516,7 @@ func conns(sc *workload.Scenario) int {
 	if n > 64 {
 		n = 64
 	}
-	return n
+	return min(n*sc.ShardCount(), 128)
 }
 
 func logf(w io.Writer, format string, args ...any) {
