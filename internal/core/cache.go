@@ -35,16 +35,24 @@ func NewEmbeddingCache() *EmbeddingCache {
 // Store records an embedding of g. The graph and vertex model are cloned so
 // later mutations by the caller cannot corrupt the cache.
 func (c *EmbeddingCache) Store(g *graph.Graph, vm graph.VertexModel) {
-	key := graph.CanonicalHash(g)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries[key] = append(c.entries[key], cacheEntry{g: g.Clone(), vm: vm.Clone()})
+	c.store(graph.CanonicalHash(g), g, vm)
 }
 
 // Lookup returns an embedding for any graph isomorphic to a stored one,
 // relabeled onto g's vertices, or nil on a miss.
 func (c *EmbeddingCache) Lookup(g *graph.Graph) graph.VertexModel {
-	key := graph.CanonicalHash(g)
+	return c.lookup(graph.CanonicalHash(g), g)
+}
+
+// store is Store with g's key, graph.CanonicalHash(g), already computed.
+func (c *EmbeddingCache) store(key string, g *graph.Graph, vm graph.VertexModel) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries[key] = append(c.entries[key], cacheEntry{g: g.Clone(), vm: vm.Clone()})
+}
+
+// lookup is Lookup with g's key, graph.CanonicalHash(g), already computed.
+func (c *EmbeddingCache) lookup(key string, g *graph.Graph) graph.VertexModel {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.entries[key] {

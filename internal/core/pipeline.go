@@ -331,10 +331,13 @@ func (s *Solver) requiredReads() (int, float64, error) {
 }
 
 // findEmbedding consults the off-line cache when configured, falling back to
-// the CMR heuristic and populating the cache on success.
+// the CMR heuristic and populating the cache on success. It hashes g once,
+// for both the lookup and the store.
 func (s *Solver) findEmbedding(g *graph.Graph, sol *Solution) (graph.VertexModel, embed.Stats, error) {
+	var key string
 	if s.cfg.Cache != nil {
-		if vm := s.cfg.Cache.Lookup(g); vm != nil {
+		key = graph.CanonicalHash(g)
+		if vm := s.cfg.Cache.lookup(key, g); vm != nil {
 			if err := graph.ValidateMinor(g, s.hw, vm, true); err == nil {
 				sol.Timing.CacheHit = true
 				return vm, embed.Stats{}, nil
@@ -346,7 +349,7 @@ func (s *Solver) findEmbedding(g *graph.Graph, sol *Solution) (graph.VertexModel
 		return nil, stats, err
 	}
 	if s.cfg.Cache != nil {
-		s.cfg.Cache.Store(g, vm)
+		s.cfg.Cache.store(key, g, vm)
 	}
 	return vm, stats, nil
 }

@@ -659,7 +659,7 @@ func (s *sim) route(j *job) *simShard {
 	if !s.cluster {
 		return s.shards[0]
 	}
-	_, target := s.table.Route(workload.ClassKey(j.class), s.steal, func(x int) int { return s.shards[x].backlog.Len() })
+	_, target := s.table.Route(workload.ClassKey(j.class), s.steal, -1, func(x int) int { return s.shards[x].backlog.Len() })
 	if target < 0 {
 		return nil
 	}

@@ -194,7 +194,8 @@ func TestPruneShortensChains(t *testing.T) {
 	if err := graph.ValidateMinor(g, hw, vm, true); err != nil {
 		t.Fatalf("setup invalid: %v", err)
 	}
-	prune(g, hw, vm)
+	var stats Stats
+	newCMRState(g, hw, nil, Options{}.withDefaults(), &stats).prune(vm)
 	if err := graph.ValidateMinor(g, hw, vm, true); err != nil {
 		t.Fatalf("pruned embedding invalid: %v", err)
 	}
@@ -215,6 +216,7 @@ func TestCostTableTracksUsage(t *testing.T) {
 	var stats Stats
 	opts := Options{PenaltyBase: 1.3}.withDefaults()
 	st := newCMRState(g, hw, rand.New(rand.NewSource(1)), opts, &stats)
+	st.reset()
 	check := func(step string) {
 		t.Helper()
 		for q, c := range st.cost {

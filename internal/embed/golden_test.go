@@ -64,24 +64,58 @@ func TestFindEmbeddingGolden(t *testing.T) {
 	h := sha256.New()
 	for _, target := range []*graph.Graph{hw, faulted} {
 		for i, g := range corpus {
-			rng := rand.New(rand.NewSource(int64(i)))
-			vm, stats, err := FindEmbedding(g, target, rng, Options{MaxTries: 20})
-			writeInts(h, g.Order(), g.Size())
-			for v := 0; v < g.Order(); v++ {
-				writeInts(h, len(vm[v]))
-				writeInts(h, vm[v]...)
-			}
-			writeInts(h, stats.Tries, stats.Sweeps, stats.DijkstraRuns, stats.RelaxedEdges,
-				stats.PhysicalQubits, stats.MaxChainLength)
-			if err != nil {
-				h.Write([]byte(err.Error()))
-			}
-			writeInts(h, int(rng.Int63()))
+			hashSearch(h, g, target, int64(i), Options{MaxTries: 20})
 		}
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != goldenDigest {
 		t.Fatalf("golden digest = %s, want %s: an embedding, a Stats count or the rng stream changed", got, goldenDigest)
 	}
+}
+
+// goldenConfigsDigest is the SHA-256 of TestFindEmbeddingGoldenConfigs'
+// searches, recorded before the searches learned to stop early.
+const goldenConfigsDigest = "7006435669bac1fd24b91197c1f76f82b8fef283caa1fd8ef36d2a01b51f3677"
+
+// TestFindEmbeddingGoldenConfigs hashes the corpus, as
+// TestFindEmbeddingGolden does, under the settings that test leaves out:
+// PenaltyBase 1.3, 2 and 16, whose path costs are not all integers, each on
+// intact C(8,8,4) and on faulted C(4,4,4), where many searches fail, once
+// with Deterministic, at MaxTries 3.
+func TestFindEmbeddingGoldenConfigs(t *testing.T) {
+	small := graph.Chimera{M: 4, N: 4, L: 4}.Graph()
+	intact := graph.Vesuvius().Graph()
+	faulted := graph.RandomFaults(small, 0.03, 0.02, rand.New(rand.NewSource(11))).Apply(small)
+	corpus := goldenCorpus()
+	h := sha256.New()
+	for i, base := range []float64{1.3, 2, 16} {
+		for j, target := range []*graph.Graph{intact, faulted} {
+			opts := Options{MaxTries: 3, PenaltyBase: base, Deterministic: (i+j)%2 == 1}
+			for k, g := range corpus {
+				hashSearch(h, g, target, int64(k), opts)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenConfigsDigest {
+		t.Fatalf("digest = %s, want %s: an embedding, a Stats count or the rng stream changed", got, goldenConfigsDigest)
+	}
+}
+
+// hashSearch embeds g into target with seed and opts, and hashes the vertex
+// model, Stats, error and the next rng.Int63().
+func hashSearch(h hash.Hash, g, target *graph.Graph, seed int64, opts Options) {
+	rng := rand.New(rand.NewSource(seed))
+	vm, stats, err := FindEmbedding(g, target, rng, opts)
+	writeInts(h, g.Order(), g.Size())
+	for v := 0; v < g.Order(); v++ {
+		writeInts(h, len(vm[v]))
+		writeInts(h, vm[v]...)
+	}
+	writeInts(h, stats.Tries, stats.Sweeps, stats.DijkstraRuns, stats.RelaxedEdges,
+		stats.PhysicalQubits, stats.MaxChainLength)
+	if err != nil {
+		h.Write([]byte(err.Error()))
+	}
+	writeInts(h, int(rng.Int63()))
 }
 
 func writeInts(h hash.Hash, xs ...int) {

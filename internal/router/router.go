@@ -160,6 +160,7 @@ type pjob struct {
 	resp     chan presult
 
 	home   int   // latest hash-home shard (-1 until first pick)
+	avoid  int   // shard whose dial or round trip last failed the job (-1 if none)
 	epoch  int64 // membership epoch of the latest pick
 	stolen bool
 	served int // shard that answered (-1 until a shard does)
@@ -444,7 +445,7 @@ func (r *Router) handle(req service.SolveRequest) service.SolveResponse {
 		return service.SolveResponse{Error: err.Error()}
 	}
 	r.recordHot(key, req)
-	pj := &pjob{req: req, key: key, resp: make(chan presult, 1), home: -1, served: -1}
+	pj := &pjob{req: req, key: key, resp: make(chan presult, 1), home: -1, avoid: -1, served: -1}
 	pj.span = r.opts.Obs.Tracer().Start("route", r.seq.Add(1)-1, req.Class)
 	if err := r.dispatch(pj); err != nil {
 		pj.span.Finish(err.Error())
@@ -496,18 +497,19 @@ func (r *Router) dispatch(pj *pjob) error {
 }
 
 // pick resolves the dispatch shard for a job's key through the published
-// route table, without locking or allocating. It records the job's routing
-// metadata (hash home, steal diversion, epoch) as a side effect, so the
-// span and the wire response cite the same decision the counters
-// aggregate.
+// route table, without locking or allocating. A retry is routed away from
+// the shard that just failed it. It records the job's routing metadata
+// (hash home, steal diversion, epoch) as a side effect, so the span and the
+// wire response cite the same decision the counters aggregate; a job moved
+// off a home that just failed it was not stolen.
 func (r *Router) pick(pj *pjob) *shard {
 	rt := r.routes.Load()
-	home, target := rt.table.Route(pj.key, r.opts.StealThreshold, func(i int) int { return len(rt.shards[i].queue) })
+	home, target := rt.table.Route(pj.key, r.opts.StealThreshold, pj.avoid, func(i int) int { return len(rt.shards[i].queue) })
 	if target < 0 {
 		return nil
 	}
 	pj.home, pj.epoch = home, rt.epoch
-	if target != home {
+	if target != home && home != pj.avoid {
 		r.stolen.Add(1)
 		pj.stolen = true
 		pj.span.Event(obs.StageSteal)
@@ -516,8 +518,11 @@ func (r *Router) pick(pj *pjob) *shard {
 }
 
 // worker drains one shard's queue through its own TCP client. A client that
-// a FailShard closed is replaced; transient I/O errors send the job back
-// through the re-dispatch budget and count against the shard's health.
+// a FailShard closed is replaced. A dial or round trip that fails sends the
+// job back through the re-dispatch budget, routed away from this shard: a
+// backend can die before anything marks its shard down, and nothing counts
+// these errors against the shard's health; only the health check,
+// FailShard and RemoveShard take it out of the ring.
 func (r *Router) worker(sh *shard) {
 	defer r.workerWG.Done()
 	var c *service.Client
@@ -539,6 +544,7 @@ func (r *Router) worker(sh *shard) {
 		if c == nil {
 			nc, err := service.DialTimeout(sh.addr, r.opts.Timeout)
 			if err != nil {
+				pj.avoid = sh.idx
 				r.retry(pj, err)
 				continue
 			}
@@ -574,6 +580,7 @@ func (r *Router) worker(sh *shard) {
 		if errors.Is(err, qpuserver.ErrClosed) {
 			c = nil // FailShard retired this client; dial fresh next job
 		}
+		pj.avoid = sh.idx
 		r.retry(pj, err)
 	}
 }

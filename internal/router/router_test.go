@@ -318,6 +318,47 @@ func TestRouterFailShardRedispatch(t *testing.T) {
 	}
 }
 
+// TestRouterRetryAvoidsUndetectedDeadShard: a backend that is gone before
+// anything marks its shard down must not swallow jobs. Each job's dial is
+// refused at the dead home; its retry must route around that shard rather
+// than re-pick it until the re-dispatch budget runs out.
+func TestRouterRetryAvoidsUndetectedDeadShard(t *testing.T) {
+	addrs, svcs := startShards(t, 3)
+	rt, err := New(Options{
+		Shards:     addrs,
+		MaxRetries: 5,
+		Backoff:    time.Millisecond,
+		PingEvery:  -1, // nothing detects the dead backend
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Drain()
+
+	home := clusterRing(3).Owner(workload.ClassKey(0))
+	svcs[home].CloseListener()
+	const jobs = 30
+	for i := 0; i < jobs; i++ {
+		if _, err := rt.Submit(profileReq(0)); err != nil {
+			t.Errorf("job %d: %v", i, err)
+		}
+	}
+	st := rt.Stats()
+	if st.Failed != 0 {
+		t.Errorf("%d jobs exhausted the re-dispatch budget", st.Failed)
+	}
+	if st.Dispatched[home] != jobs || st.Redispatched != jobs {
+		t.Errorf("dispatched %v with %d re-dispatches: want each job once at the dead home %d, then once elsewhere",
+			st.Dispatched, st.Redispatched, home)
+	}
+	if st.Stolen != 0 {
+		t.Errorf("%d retries counted as steals; stealing is off", st.Stolen)
+	}
+	if !rt.Up()[home] {
+		t.Error("the dead home was marked down; the test needs it undetected")
+	}
+}
+
 // TestRouterRestoreShard: a shard downed by FailShard rejoins on
 // RestoreShard and receives traffic again.
 func TestRouterRestoreShard(t *testing.T) {

@@ -33,7 +33,7 @@ func TestPickAllocFree(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	rt := idleRouter(3, 1)
-	pj := &pjob{key: workload.ClassKey(0), home: -1, served: -1}
+	pj := &pjob{key: workload.ClassKey(0), home: -1, avoid: -1, served: -1}
 	home := rt.pick(pj).idx
 	check := func(what string) {
 		if n := testing.AllocsPerRun(200, func() { rt.pick(pj) }); n != 0 {
@@ -54,7 +54,7 @@ func BenchmarkPick(b *testing.B) {
 	for _, n := range []int{2, 3, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			rt := idleRouter(n, 4)
-			pj := &pjob{key: workload.ClassKey(0), home: -1, served: -1}
+			pj := &pjob{key: workload.ClassKey(0), home: -1, avoid: -1, served: -1}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if rt.pick(pj) == nil {
@@ -167,7 +167,7 @@ func TestRouterFailRestoreHammer(t *testing.T) {
 	if !rt.Up()[victim] {
 		t.Error("cycled shard left down after its final restore")
 	}
-	if pj := (&pjob{key: workload.ClassKey(0)}); rt.pick(pj) == nil || pj.home != victim {
+	if pj := (&pjob{key: workload.ClassKey(0), avoid: -1}); rt.pick(pj) == nil || pj.home != victim {
 		t.Errorf("after the final restore class 0 homes on %d, want %d", pj.home, victim)
 	}
 }
@@ -260,7 +260,7 @@ func TestRouterMatchesDESMembership(t *testing.T) {
 	homes := func() []int {
 		out := make([]int, classes)
 		for c := range out {
-			pj := &pjob{key: workload.ClassKey(c), home: -1, served: -1}
+			pj := &pjob{key: workload.ClassKey(c), home: -1, avoid: -1, served: -1}
 			sh := rt.pick(pj)
 			if sh == nil || sh.idx != pj.home {
 				t.Fatalf("class %d: no shard or a steal with stealing disabled", c)

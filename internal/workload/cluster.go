@@ -184,24 +184,36 @@ func (t *RouteTable) Ring() *ring.Ring { return t.ring }
 // the job is dispatched to. With steal > 0 and a home backlog of at least
 // steal, the job moves to the routable slot with the strictly shortest
 // backlog, the lowest slot among equals; a home that ties the shortest
-// backlog keeps the job. backlog is consulted only when steal > 0. Both are
-// -1 when no slot is routable.
-func (t *RouteTable) Route(key string, steal int, backlog func(slot int) int) (home, target int) {
+// backlog keeps the job. avoid is a slot the job must not be sent back to,
+// the one whose dial or round trip just failed it, or -1 for none: a target
+// equal to avoid moves to the routable slot with the shortest backlog among
+// the others, the lowest slot among equals, and stays when there is no
+// other. backlog is consulted only when steal > 0 or the target is avoid.
+// Both are -1 when no slot is routable.
+func (t *RouteTable) Route(key string, steal, avoid int, backlog func(slot int) int) (home, target int) {
 	if len(t.slots) == 0 {
 		return -1, -1
 	}
 	home = t.slots[t.ring.Owner(key)]
 	target = home
-	if steal <= 0 {
-		return home, target
+	if steal > 0 {
+		if shortest := backlog(home); shortest >= steal {
+			for _, s := range t.slots {
+				if b := backlog(s); b < shortest {
+					target, shortest = s, b
+				}
+			}
+		}
 	}
-	shortest := backlog(home)
-	if shortest < steal {
-		return home, target
-	}
-	for _, s := range t.slots {
-		if b := backlog(s); b < shortest {
-			target, shortest = s, b
+	if target == avoid {
+		shortest := 0
+		for _, s := range t.slots {
+			if s == avoid {
+				continue
+			}
+			if b := backlog(s); target == avoid || b < shortest {
+				target, shortest = s, b
+			}
 		}
 	}
 	return home, target
