@@ -3,6 +3,7 @@ package anneal
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -332,6 +333,43 @@ func TestDeviceLifecycle(t *testing.T) {
 	d.Reset()
 	if d.Programmed() || d.TotalReads() != 0 {
 		t.Error("reset incomplete")
+	}
+}
+
+// TestDeviceReprogramMatchesFreshDevice programs one device with models of
+// different dims and edge counts in the order A, B, A. Each program must
+// return the same SampleSet for a given seed as a freshly built device,
+// serially and across read workers, on the scalar and the multi-spin
+// kernel.
+func TestDeviceReprogramMatchesFreshDevice(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	hw := graph.Chimera{M: 2, N: 2, L: 4}.Graph()
+	hw.RemoveVertex(3) // a dead qubit: spin 3 is frozen
+	a := qubo.RandomIsing(hw, 0.5, 1, rng)
+	a.H[3] = 0
+	b := qubo.RandomIsing(graph.Complete(9), 1, 1, rng)
+	for _, opts := range []SamplerOptions{{Sweeps: 16}, {Sweeps: 24, BitParallel: true}} {
+		for _, workers := range []int{1, 3} {
+			d := NewDevice(DW2Timings(), opts)
+			d.Workers = workers
+			for i, m := range []*qubo.Ising{a, b, a} {
+				d.Program(m)
+				got, err := d.Execute(5, rand.New(rand.NewSource(int64(i))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh := NewDevice(DW2Timings(), opts)
+				fresh.Workers = workers
+				fresh.Program(m)
+				want, err := fresh.Execute(5, rand.New(rand.NewSource(int64(i))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%+v, %d workers, program %d: reprogrammed device read %v, fresh device %v", opts, workers, i, got, want)
+				}
+			}
+		}
 	}
 }
 

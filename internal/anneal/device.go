@@ -46,11 +46,17 @@ func NewQuantumDevice(t Timings, opts SQAOptions) *Device {
 
 // Program loads a hardware Ising model into the device, charging the
 // one-time ProcessorInitialize cost (state machine + PMM + thermalization).
+// A classical device compiles each program into the previous program's
+// storage: the readers an Execute mints end with it, so none sees the
+// change.
 func (d *Device) Program(m *qubo.Ising) {
 	d.program = m
-	if d.SQA != nil {
+	switch s, ok := d.sampler.(*Sampler); {
+	case d.SQA != nil:
 		d.sampler = NewSQASampler(m, *d.SQA)
-	} else {
+	case ok:
+		s.load(m, d.Opts)
+	default:
 		d.sampler = NewSampler(m, d.Opts)
 	}
 	d.programTime += d.Timings.ProcessorInitialize()

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/splitexec/splitexec/internal/qubo"
 )
@@ -77,15 +78,26 @@ type Sampler struct {
 // and no couplings are frozen at +1 and never touched, mirroring unused
 // physical qubits.
 func NewSampler(m *qubo.Ising, opts SamplerOptions) *Sampler {
+	s := &Sampler{prog: new(qubo.Compiled)}
+	s.load(m, opts)
+	return s
+}
+
+// load makes s anneal m as NewSampler(m, opts) would, recompiling into the
+// storage of the program s held before and keeping the scratch buffers. No
+// reader of s may be running.
+func (s *Sampler) load(m *qubo.Ising, opts SamplerOptions) {
 	opts = opts.withDefaults(m)
-	s := &Sampler{prog: qubo.Compile(m), opts: opts}
+	s.prog.Recompile(m)
+	s.opts = opts
+	s.bit = bitState{}
 	if opts.BitParallel {
 		// Compile the word-kernel form once, up front: readers minted by
 		// NewReader then share it instead of rebuilding per worker.
 		s.bitBuild()
 	}
 	// Geometric β schedule.
-	s.betas = make([]float64, opts.Sweeps)
+	s.betas = slices.Grow(s.betas[:0], opts.Sweeps)[:opts.Sweeps]
 	if opts.Sweeps == 1 {
 		s.betas[0] = opts.BetaEnd
 	} else {
@@ -96,7 +108,6 @@ func NewSampler(m *qubo.Ising, opts SamplerOptions) *Sampler {
 			b *= ratio
 		}
 	}
-	return s
 }
 
 // ActiveSpins returns the number of participating spins.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/splitexec/splitexec/internal/graph"
@@ -14,13 +15,20 @@ import (
 //
 // Entries are keyed by a relabeling-invariant hash; on a hash hit an exact
 // isomorphism search maps the stored embedding onto the query's labels. The
-// cache is safe for concurrent use.
+// cache holds at most cacheCap embeddings, evicting the oldest first. It is
+// safe for concurrent use.
 type EmbeddingCache struct {
 	mu      sync.Mutex
 	entries map[string][]cacheEntry
+	order   []string // the key of every stored embedding, oldest first
 	hits    int
 	misses  int
 }
+
+// cacheCap bounds the embeddings a cache holds, so that a long-running
+// service over distinct graphs does not grow without limit. It is about four
+// times the distinct graphs one benchmark round stores (1,050).
+const cacheCap = 4096
 
 type cacheEntry struct {
 	g  *graph.Graph
@@ -48,6 +56,18 @@ func (c *EmbeddingCache) Lookup(g *graph.Graph) graph.VertexModel {
 func (c *EmbeddingCache) store(key string, g *graph.Graph, vm graph.VertexModel) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if len(c.order) >= cacheCap {
+		// A key's embeddings are stored in order, so the oldest of all is
+		// the first under the oldest key.
+		old := c.order[0]
+		c.order = c.order[1:]
+		if es := c.entries[old]; len(es) > 1 {
+			c.entries[old] = slices.Delete(es, 0, 1)
+		} else {
+			delete(c.entries, old)
+		}
+	}
+	c.order = append(c.order, key)
 	c.entries[key] = append(c.entries[key], cacheEntry{g: g.Clone(), vm: vm.Clone()})
 }
 
@@ -82,9 +102,5 @@ func (c *EmbeddingCache) Stats() (hits, misses int) {
 func (c *EmbeddingCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, es := range c.entries {
-		n += len(es)
-	}
-	return n
+	return len(c.order)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -106,5 +107,48 @@ func TestEmbeddingCacheIsolation(t *testing.T) {
 	}
 	if err := graph.ValidateMinor(fresh, hw, got, true); err != nil {
 		t.Errorf("mutation leaked into the cache: %v", err)
+	}
+}
+
+// TestEmbeddingCacheEvictsOldest makes cacheCap+k stores: the cache keeps
+// the newest cacheCap, the oldest k miss, and hits and misses are counted
+// as before. Two of the stores share a key, as non-isomorphic graphs with
+// equal hashes do, and only the older of the two is evicted.
+func TestEmbeddingCacheEvictsOldest(t *testing.T) {
+	const k = 3
+	path, triangle := graph.Path(3), graph.Cycle(3)
+	vm := graph.VertexModel{0: {0}, 1: {1}, 2: {2}}
+	key := func(i int) string {
+		if i == k-1 || i == k {
+			return "shared"
+		}
+		return strconv.Itoa(i)
+	}
+	cache := NewEmbeddingCache()
+	for i := 0; i < cacheCap+k; i++ {
+		g := path
+		if i == k {
+			g = triangle
+		}
+		cache.store(key(i), g, vm)
+	}
+	if n := cache.Len(); n != cacheCap {
+		t.Fatalf("Len = %d after %d stores, want %d", n, cacheCap+k, cacheCap)
+	}
+	for i := 0; i < k; i++ {
+		if cache.lookup(key(i), path) != nil {
+			t.Errorf("store %d of the oldest %d was not evicted", i, k)
+		}
+	}
+	if cache.lookup("shared", triangle) == nil {
+		t.Error("the newer embedding under a shared key was evicted")
+	}
+	for i := k + 1; i < cacheCap+k; i++ {
+		if cache.lookup(key(i), path) == nil {
+			t.Fatalf("store %d missed", i)
+		}
+	}
+	if hits, misses := cache.Stats(); hits != cacheCap || misses != k {
+		t.Errorf("Stats = %d hits, %d misses; want %d, %d", hits, misses, cacheCap, k)
 	}
 }

@@ -204,8 +204,15 @@ func NewSolver(cfg Config) *Solver {
 	}
 }
 
-// Hardware returns the QPU working graph used for embedding.
+// Hardware returns the QPU working graph used for embedding. It is shared
+// by every solve and must not be modified.
 func (s *Solver) Hardware() *graph.Graph { return s.hw }
+
+// Reseed restarts the solver's random stream at seed: the solves that
+// follow draw exactly what they would from NewSolver with Config.Seed set to
+// seed. A service worker keeps one solver and reseeds it per job instead of
+// rebuilding the working graph each time.
+func (s *Solver) Reseed(seed int64) { s.rng.Seed(seed) }
 
 // SolveQUBO translates a QUBO instance (stage 1), executes it (stage 2) and
 // post-processes the result (stage 3).

@@ -1,0 +1,7 @@
+//go:build !race
+
+package core
+
+// raceEnabled reports whether this test binary was built with -race; the
+// allocation budgets skip under instrumentation, which allocates.
+const raceEnabled = false

@@ -198,6 +198,7 @@ type cmrState struct {
 	parent  []int    // connect's search tree
 	settled []int32  // how many of chooseRoot's searches settled each vertex
 	marked  stampSet // the neighbor chain in embedVertex; the candidate chain in prune
+	cand    []int    // prune's candidate chain
 }
 
 // statePool recycles states between FindEmbedding calls. A state's buffers
@@ -551,10 +552,12 @@ func (st *cmrState) prune(vm graph.VertexModel) {
 			continue
 		}
 		for i := 0; i < len(chain); {
-			candidate := append([]int(nil), chain[:i]...)
-			candidate = append(candidate, chain[i+1:]...)
+			candidate := append(append(st.cand[:0], chain[:i]...), chain[i+1:]...)
+			st.cand = candidate
 			if len(candidate) > 0 && graph.ConnectedSubset(hw, candidate) && st.edgesStillRealized(vm, x, candidate) {
-				chain = candidate
+				// The chain's array is its own: embedVertex builds each
+				// chain fresh.
+				chain = append(chain[:i], chain[i+1:]...)
 				// restart index: removal may enable more removals
 				i = 0
 				continue

@@ -278,6 +278,21 @@ func TestConnectedSubset(t *testing.T) {
 	if !ConnectedSubset(g, []int{4}) {
 		t.Error("singleton should be connected")
 	}
+	if !ConnectedSubset(g, []int{3, 2, 3}) || ConnectedSubset(g, []int{0, 0, 2}) {
+		t.Error("a repeated vertex changed connectivity")
+	}
+	// Past 64 vertices the subset's marks no longer fit on the stack.
+	long := Path(100)
+	all := make([]int, 100)
+	for i := range all {
+		all[i] = 99 - i
+	}
+	if !ConnectedSubset(long, all) {
+		t.Error("a whole 100-vertex path should be connected")
+	}
+	if ConnectedSubset(long, append(all[:50:50], all[51:]...)) {
+		t.Error("a 100-vertex path missing a middle vertex should be disconnected")
+	}
 }
 
 func TestDijkstraUnitWeights(t *testing.T) {

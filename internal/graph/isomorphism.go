@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"sort"
 )
 
@@ -16,44 +17,44 @@ import (
 // checking on hash hits.
 func CanonicalHash(g *Graph) string {
 	n := g.Order()
-	color := make([]uint64, n)
+	// One scratch slice holds the colours, the next colours and the longest
+	// neighbour signature plus the vertex's own colour.
+	scratch := make([]uint64, 2*n+g.MaxDegree()+1)
+	color, next, sig := scratch[:n], scratch[n:2*n], scratch[2*n:]
 	for v := 0; v < n; v++ {
-		color[v] = uint64(g.Degree(v))
+		color[v] = uint64(len(g.adj[v]))
 	}
 	// Refine up to n rounds or until stable.
-	next := make([]uint64, n)
 	for round := 0; round < n; round++ {
 		changed := false
-		for v := 0; v < n; v++ {
-			ns := g.Neighbors(v)
-			sig := make([]uint64, 0, len(ns)+1)
-			for _, u := range ns {
-				sig = append(sig, color[u])
+		for v, ns := range g.adj {
+			s := sig[:len(ns)+1]
+			for i, u := range ns {
+				s[i] = color[u]
 			}
-			sort.Slice(sig, func(i, j int) bool { return sig[i] < sig[j] })
-			sig = append(sig, color[v])
-			next[v] = hashUint64s(sig)
-		}
-		for v := 0; v < n; v++ {
+			slices.Sort(s[:len(ns)]) // an insertion sort at a degree's length
+			s[len(ns)] = color[v]
+			next[v] = hashUint64s(s)
 			if next[v] != color[v] {
 				changed = true
 			}
-			color[v] = next[v]
 		}
+		color, next = next, color
 		if !changed {
 			break
 		}
 	}
-	final := append([]uint64(nil), color...)
-	sort.Slice(final, func(i, j int) bool { return final[i] < final[j] })
-	final = append(final, uint64(n), uint64(g.Size()))
-	h := sha256.New()
-	buf := make([]byte, 8)
-	for _, x := range final {
-		binary.LittleEndian.PutUint64(buf, x)
-		h.Write(buf)
+	slices.Sort(color)
+	buf := make([]byte, 8*(n+2))
+	for i, x := range color {
+		binary.LittleEndian.PutUint64(buf[8*i:], x)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	binary.LittleEndian.PutUint64(buf[8*n:], uint64(n))
+	binary.LittleEndian.PutUint64(buf[8*n+8:], uint64(g.Size()))
+	sum := sha256.Sum256(buf)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 func hashUint64s(xs []uint64) uint64 {

@@ -96,23 +96,19 @@ func ValidateMinor(g, hw *Graph, vm VertexModel, requireAll bool) error {
 		return err
 	}
 	for _, e := range g.Edges() {
-		if !chainsAdjacent(hw, vm[e.U], vm[e.V]) {
+		if !chainsAdjacent(hw, owner, vm[e.U], e.V) {
 			return fmt.Errorf("graph: logical edge {%d,%d} has no hardware coupler between chains", e.U, e.V)
 		}
 	}
-	_ = owner
 	return nil
 }
 
-// chainsAdjacent reports whether any hw edge joins a vertex of a to one of b.
-func chainsAdjacent(hw *Graph, a, b []int) bool {
-	inB := make(map[int]bool, len(b))
-	for _, q := range b {
-		inB[q] = true
-	}
+// chainsAdjacent reports whether any hw edge joins a vertex of chain a to
+// one of logical vertex b's chain, given the owner map of disjoint chains.
+func chainsAdjacent(hw *Graph, owner map[int]int, a []int, b int) bool {
 	for _, q := range a {
 		for _, u := range hw.Neighbors(q) {
-			if inB[u] {
+			if o, ok := owner[u]; ok && o == b {
 				return true
 			}
 		}

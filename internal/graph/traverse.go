@@ -69,28 +69,42 @@ func IsConnected(g *Graph) bool {
 }
 
 // ConnectedSubset reports whether the vertex subset s induces a connected
-// subgraph of g. An empty subset is considered disconnected.
+// subgraph of g. An empty subset is considered disconnected. Membership is
+// a linear scan of s, since the subsets it checks are chains a few qubits
+// long; up to 64 vertices it does not allocate.
 func ConnectedSubset(g *Graph, s []int) bool {
 	if len(s) == 0 {
 		return false
 	}
-	in := make(map[int]bool, len(s))
-	for _, v := range s {
-		in[v] = true
+	var reachedBuf [64]bool
+	var queueBuf [64]int
+	reached, queue := reachedBuf[:], queueBuf[:0]
+	if len(s) > len(reachedBuf) {
+		reached, queue = make([]bool, len(s)), make([]int, 0, len(s))
 	}
-	seen := map[int]bool{s[0]: true}
-	stack := []int{s[0]}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range g.Neighbors(v) {
-			if in[u] && !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
+	// reach marks every position of s holding v, a duplicate included, and
+	// queues v once.
+	count := 0
+	reach := func(v int) {
+		queued := false
+		for j, x := range s {
+			if x == v && !reached[j] {
+				reached[j] = true
+				count++
+				if !queued {
+					queue = append(queue, v)
+					queued = true
+				}
 			}
 		}
 	}
-	return len(seen) == len(in)
+	reach(s[0])
+	for i := 0; i < len(queue); i++ {
+		for _, u := range g.Neighbors(queue[i]) {
+			reach(u)
+		}
+	}
+	return count == len(s)
 }
 
 // Inf is the distance reported by Dijkstra for unreachable vertices.

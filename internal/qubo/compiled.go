@@ -1,13 +1,15 @@
 package qubo
 
+import "slices"
+
 // Compiled is a flat, read-only compilation of an Ising model for hot-loop
 // consumption: CSR adjacency (RowPtr/Col/Val, each undirected coupling stored
 // in both directions), the bias vector, and the list of active spins. It
 // replaces the per-spin [][]int32/[][]float64 adjacency slices that the
 // annealing samplers used to build independently, and carries the fast energy
 // paths (local fields, incremental deltas) the compiled annealing kernel is
-// built on. A Compiled value is immutable after Compile and therefore safe
-// for concurrent use by any number of readers.
+// built on. A Compiled value is read-only between compilations (Compile,
+// Recompile) and then safe for concurrent use by any number of readers.
 type Compiled struct {
 	// H is the per-spin bias vector h_i; Offset the constant energy shift.
 	H      []float64
@@ -28,37 +30,51 @@ type Compiled struct {
 // Compile flattens an Ising model into its CSR form. The source model is not
 // retained; later mutations of it do not affect the compiled value.
 func Compile(m *Ising) *Compiled {
+	c := &Compiled{}
+	c.Recompile(m)
+	return c
+}
+
+// Recompile overwrites c with Compile(m), reusing c's slices where they are
+// long enough, for a model of any dim. It breaks the immutability Compile
+// promises: no reader of c may run during or across the call.
+func (c *Compiled) Recompile(m *Ising) {
 	n := m.Dim()
-	deg := make([]int32, n)
 	edges := m.Edges()
+	c.H = append(c.H[:0], m.H...)
+	c.Offset = m.Offset
+	// RowPtr[i+1] first counts row i's entries; the prefix sum turns
+	// RowPtr[i] into row i's start.
+	c.RowPtr = slices.Grow(c.RowPtr[:0], n+1)[:n+1]
+	clear(c.RowPtr)
 	for _, e := range edges {
-		deg[e.U]++
-		deg[e.V]++
-	}
-	c := &Compiled{
-		H:      append([]float64(nil), m.H...),
-		Offset: m.Offset,
-		RowPtr: make([]int32, n+1),
-		Col:    make([]int32, 2*len(edges)),
-		Val:    make([]float64, 2*len(edges)),
+		c.RowPtr[e.U+1]++
+		c.RowPtr[e.V+1]++
 	}
 	for i := 0; i < n; i++ {
-		c.RowPtr[i+1] = c.RowPtr[i] + deg[i]
+		c.RowPtr[i+1] += c.RowPtr[i]
 	}
-	fill := append([]int32(nil), c.RowPtr[:n:n]...)
+	c.Col = slices.Grow(c.Col[:0], 2*len(edges))[:2*len(edges)]
+	c.Val = slices.Grow(c.Val[:0], 2*len(edges))[:2*len(edges)]
+	// Filling advances RowPtr[i] from row i's start to its end, which is
+	// row i+1's start: shifting by one restores the starts.
 	for _, e := range edges {
 		j := m.J[e]
-		c.Col[fill[e.U]], c.Val[fill[e.U]] = int32(e.V), j
-		fill[e.U]++
-		c.Col[fill[e.V]], c.Val[fill[e.V]] = int32(e.U), j
-		fill[e.V]++
+		k := c.RowPtr[e.U]
+		c.Col[k], c.Val[k] = int32(e.V), j
+		c.RowPtr[e.U]++
+		k = c.RowPtr[e.V]
+		c.Col[k], c.Val[k] = int32(e.U), j
+		c.RowPtr[e.V]++
 	}
+	copy(c.RowPtr[1:], c.RowPtr[:n])
+	c.RowPtr[0] = 0
+	c.Active = c.Active[:0]
 	for i := 0; i < n; i++ {
-		if c.H[i] != 0 || deg[i] > 0 {
+		if c.H[i] != 0 || c.RowPtr[i+1] > c.RowPtr[i] {
 			c.Active = append(c.Active, int32(i))
 		}
 	}
-	return c
 }
 
 // Dim returns the number of spins.

@@ -3,6 +3,7 @@ package qubo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/splitexec/splitexec/internal/graph"
@@ -187,6 +188,59 @@ func TestFixedWidthEdgelessModel(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		if cols[i] != int32(i) || vals[i] != 0 {
 			t.Fatalf("row %d: (%d, %v), want self no-op", i, cols[i], vals[i])
+		}
+	}
+}
+
+// referenceCSR is the CSR compilation written the plain way, with a degree
+// count and a fill cursor per row: the reference Recompile's in-place
+// prefix sums must reproduce.
+func referenceCSR(m *Ising) (rowPtr, col []int32, val []float64, active []int32) {
+	n := m.Dim()
+	deg := make([]int32, n)
+	edges := m.Edges()
+	for _, e := range edges {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	rowPtr = make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] = rowPtr[i] + deg[i]
+	}
+	col, val = make([]int32, 2*len(edges)), make([]float64, 2*len(edges))
+	fill := append([]int32(nil), rowPtr[:n]...)
+	for _, e := range edges {
+		col[fill[e.U]], val[fill[e.U]] = int32(e.V), m.J[e]
+		fill[e.U]++
+		col[fill[e.V]], val[fill[e.V]] = int32(e.U), m.J[e]
+		fill[e.V]++
+	}
+	for i := 0; i < n; i++ {
+		if m.H[i] != 0 || deg[i] > 0 {
+			active = append(active, int32(i))
+		}
+	}
+	return rowPtr, col, val, active
+}
+
+// TestRecompileMatchesCompile recompiles models of growing and shrinking
+// dim into one Compiled: each result holds exactly the reference CSR, with
+// nothing left over from the model before.
+func TestRecompileMatchesCompile(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	sparse := RandomIsing(graph.GNP(40, 0.08, rng), 0, 1, rng) // isolated spins stay frozen
+	dense := RandomIsing(graph.Complete(9), 0.5, 1, rng)
+	dense.Offset = -3
+	frozen := NewIsing(4)
+	frozen.Offset = 2.5
+	c := new(Compiled)
+	for i, m := range []*Ising{sparse, dense, sparse, NewIsing(0), frozen, sparse} {
+		c.Recompile(m)
+		rowPtr, col, val, active := referenceCSR(m)
+		if !slices.Equal(c.H, m.H) || c.Offset != m.Offset || !slices.Equal(c.RowPtr, rowPtr) ||
+			!slices.Equal(c.Col, col) || !slices.Equal(c.Val, val) || !slices.Equal(c.Active, active) {
+			t.Fatalf("model %d (dim %d): recompiled %+v, want RowPtr %v Col %v Val %v Active %v",
+				i, m.Dim(), c, rowPtr, col, val, active)
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package qubo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/splitexec/splitexec/internal/graph"
 )
@@ -97,11 +98,11 @@ func (is *Ising) Edges() []graph.Edge {
 	for e := range is.J {
 		es = append(es, e)
 	}
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].U != es[b].U {
-			return es[a].U < es[b].U
+	slices.SortFunc(es, func(a, b graph.Edge) int {
+		if a.U != b.U {
+			return cmp.Compare(a.U, b.U)
 		}
-		return es[a].V < es[b].V
+		return cmp.Compare(a.V, b.V)
 	})
 	return es
 }

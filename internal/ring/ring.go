@@ -17,10 +17,13 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-node count per member. 64 points per
-// member keeps the maximum ownership imbalance across shards within a few
-// tens of percent — plenty for the router's queue-length stealing to absorb
-// — while membership changes stay O(replicas · log points).
+// DefaultReplicas is the virtual-node count per member; membership changes
+// cost O(replicas · log points). 64 points per member do not balance
+// ownership: the bare FNV-1a point names cluster, so of two members the
+// second owns about 9% of the circle. Measured over 200,000 random keys the
+// two split 0.91/0.09, and the benchmark's 32 library keys split 29/3.
+// ROADMAP item 2 ("The ring gives one of two shards 91% of all keys") holds
+// the fix.
 const DefaultReplicas = 64
 
 // point is one virtual node: a position on the hash circle owned by member

@@ -58,9 +58,9 @@ var (
 // Options configure a Service.
 type Options struct {
 	// Workers is the number of host workers — the H of Fig. 1(b)/(c).
-	// Each worker owns its solvers outright (core.Solver is documented
-	// single-goroutine), so jobs never share mutable solver state.
-	// Values <= 0 select 1.
+	// Each worker owns one solver outright (core.Solver is documented
+	// single-goroutine) and reseeds it per job, so concurrent jobs never
+	// share mutable solver state. Values <= 0 select 1.
 	Workers int
 	// QueueDepth bounds the job queue; Submit blocks (backpressure) and
 	// TrySubmit fails once the queue holds this many waiting jobs.
@@ -165,7 +165,7 @@ type JobMetrics struct {
 type Ticket struct {
 	index    int
 	enqueued time.Time
-	run      func(s *Service, t *Ticket)
+	run      func(s *Service, h *host, t *Ticket)
 	done     chan struct{}
 
 	sol     *core.Solution
@@ -289,6 +289,7 @@ func (s *Service) Policy() sched.Policy { return sched.Normalize(s.opts.Policy) 
 // distributions.
 func (s *Service) worker() {
 	defer s.wg.Done()
+	var h host
 	for {
 		t, ok := s.queue.pop()
 		if !ok {
@@ -296,7 +297,7 @@ func (s *Service) worker() {
 		}
 		t.metrics.QueueWait = time.Since(t.enqueued)
 		t.span.Event(obs.StageQueue)
-		t.run(s, t)
+		t.run(s, &h, t)
 		t.metrics.Total = time.Since(t.enqueued)
 		s.om.queueWait.Observe(t.metrics.QueueWait)
 		s.om.qpuWait.Observe(t.metrics.QPUWait)
@@ -336,7 +337,7 @@ func (s *Service) worker() {
 // order equals enqueue order. QueueWait is clocked from the Submit call
 // itself, so backpressure blocking counts as queueing — the condition it
 // measures.
-func (s *Service) submit(run func(*Service, *Ticket), class sched.Job, block bool) (*Ticket, error) {
+func (s *Service) submit(run func(*Service, *host, *Ticket), class sched.Job, block bool) (*Ticket, error) {
 	submitAt := time.Now()
 	return s.queue.push(func() *Ticket {
 		t := &Ticket{run: run, done: make(chan struct{}), enqueued: submitAt}
@@ -437,17 +438,36 @@ func (s *Service) TrySubmitProfile(p arch.JobProfile) (*Ticket, error) {
 	return s.submit(profileRun(p), JobClass{Weight: 1}.schedJob(p), false)
 }
 
-// solveRun builds the runner for a solve job: a fresh per-job solver
-// (seeded from the submission index) over a leased fleet device.
-func solveRun(q *qubo.QUBO, m *qubo.Ising) func(*Service, *Ticket) {
-	return func(s *Service, t *Ticket) {
+// host is what one worker builds once for all its solve jobs: a solver
+// over a lease the worker keeps. The solver's working graph and device
+// adapter are the same for every job; only the lease's ticket and ledger
+// and the solver's random stream are per job.
+type host struct {
+	lease  leasedDevice
+	solver *core.Solver
+}
+
+// solverFor points the lease at t with an empty ledger and reseeds the
+// solver with t's stream, parallel.DeriveSeed(Seed, index), building the
+// solver on the worker's first solve job.
+func (h *host) solverFor(s *Service, t *Ticket) *core.Solver {
+	h.lease = leasedDevice{svc: s, t: t}
+	if h.solver == nil {
 		cfg := s.opts.Base
-		cfg.Seed = parallel.DeriveSeed(s.opts.Seed, t.index)
 		cfg.Cache = s.opts.Cache
-		lease := &leasedDevice{svc: s, t: t}
-		cfg.Device = lease
-		defer lease.release()
-		solver := core.NewSolver(cfg)
+		cfg.Device = &h.lease
+		h.solver = core.NewSolver(cfg)
+	}
+	h.solver.Reseed(parallel.DeriveSeed(s.opts.Seed, t.index))
+	return h.solver
+}
+
+// solveRun builds the runner for a solve job: the worker's solver, reseeded
+// from the submission index, over a leased fleet device.
+func solveRun(q *qubo.QUBO, m *qubo.Ising) func(*Service, *host, *Ticket) {
+	return func(s *Service, h *host, t *Ticket) {
+		solver := h.solverFor(s, t)
+		defer h.lease.release()
 		if q != nil {
 			t.sol, t.err = solver.SolveQUBO(q)
 		} else {
@@ -468,8 +488,8 @@ func solveRun(q *qubo.QUBO, m *qubo.Ising) func(*Service, *Ticket) {
 // the host keeps the job and re-acquires a device after the backoff, up to
 // the retry budget, then fails with ErrLeaseRevoked — the exact abort/
 // retry/fail event sequence the DES realizes for the same scenario.
-func profileRun(p arch.JobProfile) func(*Service, *Ticket) {
-	return func(s *Service, t *Ticket) {
+func profileRun(p arch.JobProfile) func(*Service, *host, *Ticket) {
+	return func(s *Service, _ *host, t *Ticket) {
 		sleep(p.PreProcess)
 		sleep(p.Network)
 		for attempt := 0; ; attempt++ {

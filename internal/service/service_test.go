@@ -3,14 +3,18 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"github.com/splitexec/splitexec/internal/anneal"
 	"github.com/splitexec/splitexec/internal/arch"
 	"github.com/splitexec/splitexec/internal/core"
+	"github.com/splitexec/splitexec/internal/embed"
 	"github.com/splitexec/splitexec/internal/graph"
 	"github.com/splitexec/splitexec/internal/machine"
+	"github.com/splitexec/splitexec/internal/parallel"
 	"github.com/splitexec/splitexec/internal/qubo"
 )
 
@@ -141,6 +145,73 @@ func TestSharedCacheHit(t *testing.T) {
 	}
 	if hits, _ := cache.Stats(); hits != 1 {
 		t.Errorf("cache hits = %d, want 1", hits)
+	}
+}
+
+// TestReusedSolverMatchesFreshSolver submits misses and then relabelled
+// hits one at a time to a two-worker service, whose workers keep one
+// solver and one device across jobs. Every job must answer exactly as a
+// fresh core.NewSolver seeded with parallel.DeriveSeed(Seed, index), over a
+// fresh device and a cache that has seen the same jobs.
+func TestReusedSolverMatchesFreshSolver(t *testing.T) {
+	const seed = 41
+	svc, err := New(Options{Workers: 2, Fleet: 1, Base: testBase(), Seed: seed, Cache: core.NewEmbeddingCache()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	jobs := testProblems()
+	misses := len(jobs)
+	rng := rand.New(rand.NewSource(3))
+	for _, q := range jobs[:misses] {
+		g := q.Graph()
+		perm := rng.Perm(g.Order())
+		h := graph.New(g.Order())
+		for _, e := range g.Edges() {
+			h.AddEdge(perm[e.U], perm[e.V])
+		}
+		jobs = append(jobs, qubo.MaxCut(h, nil))
+	}
+	// answer is every part of a solution that is not wall-clock time.
+	type answer struct {
+		Energy, SuccessProb   float64
+		Binary                []int8
+		Reads, Broken, Sorts  int
+		Embedding             graph.VertexModel
+		EmbedStats            embed.Stats
+		Samples               *anneal.SampleSet
+		CacheHit              bool
+		QPUProgram, QPUAnneal time.Duration
+	}
+	summary := func(sol *core.Solution) answer {
+		return answer{sol.Energy, sol.SuccessProb, sol.Binary, sol.Reads, sol.BrokenChains, sol.SortComparisons,
+			sol.Embedding, sol.EmbedStats, sol.Samples, sol.Timing.CacheHit, sol.Timing.Program, sol.Timing.Execute}
+	}
+	refCache := core.NewEmbeddingCache()
+	for i, q := range jobs {
+		tk, err := svc.SubmitQUBO(q)
+		if err != nil {
+			t.Fatalf("SubmitQUBO %d: %v", i, err)
+		}
+		got, err := tk.Wait()
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		cfg := testBase()
+		cfg.Seed = parallel.DeriveSeed(seed, i)
+		cfg.Cache = refCache
+		want, err := core.NewSolver(cfg).SolveQUBO(q)
+		if err != nil {
+			t.Fatalf("fresh solve %d: %v", i, err)
+		}
+		if got.Timing.CacheHit != (i >= misses) {
+			t.Errorf("job %d: cache hit %v, want %v", i, got.Timing.CacheHit, i >= misses)
+		}
+		if g, w := summary(got), summary(want); !reflect.DeepEqual(g, w) {
+			t.Errorf("job %d: reused solver answered\n  %+v\nfresh solver\n  %+v", i, g, w)
+		}
+	}
+	if rep := svc.Drain(); rep.Jobs != len(jobs) || rep.Failed != 0 {
+		t.Fatalf("report: %d jobs, %d failed; want %d, 0", rep.Jobs, rep.Failed, len(jobs))
 	}
 }
 
