@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -328,15 +327,12 @@ func runClosedLoop(sc *workload.Scenario, start time.Time, wg *sync.WaitGroup, l
 	clients.Wait()
 }
 
-// sleepUntil paces to a scheduled instant with the service's calibrated
-// sub-tick sleep: plain time.Sleep quantizes to the kernel tick, which at
-// hundreds of arrivals per second would smear every scheduled arrival a
-// millisecond late.
+// sleepUntil paces to a scheduled instant with the service's precise
+// sleep, which returns at or past the deadline: plain time.Sleep wakes
+// about a millisecond late, which at hundreds of arrivals per second would
+// smear every scheduled arrival.
 func sleepUntil(deadline time.Time) {
 	service.SleepPrecise(time.Until(deadline))
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
-	}
 }
 
 // errDropped marks a job whose whole submission budget was lost on the wire.

@@ -23,14 +23,14 @@ const (
 	clusterBandHi = 2.5
 )
 
-// bandRate picks the aggregate offered rate for this machine. Phase replay
-// holds sub-tick accuracy by spinning the last ~2ms of every phase
-// (service.SleepPrecise), so each live job costs ~2ms of real CPU on top
-// of the wire path — live parallelism is capped by core count, not by the
-// scenario's host count. ~180 jobs/s per core keeps that burn near half
-// the machine so queueing stays the model's, not the scheduler's; a
-// ≥14-core runner carries the full 2500/s federation the scenario is
-// written for.
+// bandRate picks the aggregate offered rate for this machine. Each live
+// job costs real CPU: two wire hops, plus phase replay's pacer
+// (service.SleepPrecise), one goroutine per process that yield-spins
+// whenever a phase deadline is within ~2ms — live parallelism is capped
+// by core count, not by the scenario's host count. ~180 jobs/s per core
+// keeps that burn well inside the machine so queueing stays the model's,
+// not the scheduler's; a ≥14-core runner carries the full 2500/s
+// federation the scenario is written for.
 func bandRate() float64 {
 	r := 180 * float64(runtime.NumCPU())
 	if r > 2500 {
@@ -45,8 +45,8 @@ func bandRate() float64 {
 // clusterBandScenario is the federated open-system workload: three classes
 // consistent-hash-routed over three shards, with a steal threshold so no
 // shard saturates on an unlucky ring split. One long QPU phase per job
-// (rather than three short ones) keeps the replay's spin cost at a single
-// slack tail, and the per-shard host count tracks the offered rate to hold
+// (rather than three short ones) keeps replay to one phase wake-up per
+// job, and the per-shard host count tracks the offered rate to hold
 // utilization near 0.55.
 func clusterBandScenario(rate float64) *workload.Scenario {
 	const occupancy = 8 * time.Millisecond

@@ -10,7 +10,6 @@ package service
 
 import (
 	"errors"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -230,40 +229,20 @@ func sleepUntil(deadline time.Time, stopCh <-chan struct{}) bool {
 
 // sleepLease is SleepPrecise racing a lease revocation: it sleeps for d
 // unless the lease channel closes first, reporting whether the lease was
-// revoked. The spin tail polls the channel so sub-tick phases still abort
-// promptly.
+// revoked. A revocation is seen the moment the channel closes, and one that
+// lands as the sleep ends still counts. A nil lease is never revoked.
 func sleepLease(d time.Duration, lease <-chan struct{}) bool {
-	if lease == nil {
-		SleepPrecise(d)
+	if d > 0 {
+		select {
+		case <-lease:
+			return true
+		case <-pace.after(d):
+		}
+	}
+	select {
+	case <-lease:
+		return true
+	default:
 		return false
 	}
-	revoked := func() bool {
-		select {
-		case <-lease:
-			return true
-		default:
-			return false
-		}
-	}
-	if d <= 0 {
-		return revoked()
-	}
-	slackOnce.Do(calibrateSlack)
-	deadline := time.Now().Add(d)
-	if d > sleepSlack {
-		t := time.NewTimer(d - sleepSlack)
-		select {
-		case <-lease:
-			t.Stop()
-			return true
-		case <-t.C:
-		}
-	}
-	for time.Now().Before(deadline) {
-		if revoked() {
-			return true
-		}
-		runtime.Gosched()
-	}
-	return revoked()
 }

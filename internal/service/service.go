@@ -28,6 +28,7 @@
 package service
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -525,26 +526,30 @@ func profileRun(p arch.JobProfile) func(*Service, *host, *Ticket) {
 	}
 }
 
-// Precise phase replay: time.Sleep quantizes to the kernel tick (about a
-// millisecond on stock server kernels), which would bury millisecond-scale
-// phase costs in overshoot and push every measured-vs-modeled comparison
-// off its band. SleepPrecise sleeps short by a calibrated slack and
-// yield-spins the remainder, keeping replay accurate to microseconds at a
-// bounded CPU cost per phase — on high-resolution-timer machines the
-// calibration shrinks the slack (and the spin) by an order of magnitude.
-var (
-	slackOnce  sync.Once
-	sleepSlack time.Duration
-)
-
-// Calibrate off the critical path: lazily, the 5-nap measurement would land
-// inside the first replayed job (or the load generator's first paced
-// arrival) and charge ~5 ms of calibration to that job's latency.
-func init() { go slackOnce.Do(calibrateSlack) }
+// Precise phase replay: on Linux a time.Sleep, however short, wakes about
+// a millisecond late, because Go's netpoller rounds every timer wait under
+// 1 ms up to 1 ms (runtime/netpoll_epoll.go). High-resolution kernel
+// timers do not help: a raw nanosleep overshoots by tens of microseconds,
+// but the runtime never asks for one. That floor would bury
+// millisecond-scale phase costs in overshoot and push every
+// measured-vs-modeled comparison off its band. So every precise sleep in
+// the process is woken by one pacer goroutine: it sleeps on a timer until
+// the earliest pending deadline is within a calibrated slack, then
+// yield-spins to that deadline and wakes its sleeper. The slack covers the
+// measured floor (1.5× it, about 1.6–1.8 ms on Linux), so it never shrinks
+// there and a sub-slack phase is all spin; but however many phases are in
+// flight, replay costs one spinning goroutine per process, not one per
+// sleeper.
+//
+// The pacer starts at init and calibrates its slack first, off the
+// critical path: lazily, the 5-nap measurement would land inside the first
+// replayed job (or the load generator's first paced arrival) and charge
+// ~5 ms of calibration to that job's latency.
+func init() { go pace.run() }
 
 // calibrateSlack measures the worst sleep overshoot of a few short naps;
-// the spin tail must cover it or phases inherit the tick error.
-func calibrateSlack() {
+// the spin tail must cover it or phases inherit the timer's error.
+func calibrateSlack() time.Duration {
 	worst := time.Duration(0)
 	for i := 0; i < 5; i++ {
 		start := time.Now()
@@ -553,22 +558,103 @@ func calibrateSlack() {
 			worst = d
 		}
 	}
-	sleepSlack = min(max(worst+worst/2, 200*time.Microsecond), 2*time.Millisecond)
+	return min(max(worst+worst/2, 200*time.Microsecond), 2*time.Millisecond)
 }
 
-// SleepPrecise sleeps for d with sub-tick accuracy. It is the phase-replay
-// primitive behind profile jobs and the load generator's arrival pacing.
+// wake is one pending precise sleep: the pacer closes done once
+// time.Now() has reached at.
+type wake struct {
+	at   time.Time
+	done chan struct{}
+}
+
+// wakeHeap is a container/heap of pending sleeps, earliest deadline first.
+type wakeHeap []wake
+
+func (h wakeHeap) Len() int           { return len(h) }
+func (h wakeHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
+func (h wakeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *wakeHeap) Push(x any)        { *h = append(*h, x.(wake)) }
+func (h *wakeHeap) Pop() any {
+	old := *h
+	w := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return w
+}
+
+// pacer wakes every precise sleep in the process. Its goroutine holds no
+// resource: with nothing pending it parks on kick, so it lives as long as
+// the process, like the runtime's own timers.
+type pacer struct {
+	mu      sync.Mutex
+	pending wakeHeap
+	// kick wakes the goroutine when a sleep becomes the earliest pending
+	// one. A spare token only costs the loop one extra pass.
+	kick chan struct{}
+}
+
+var pace = &pacer{kick: make(chan struct{}, 1)}
+
+// after registers a precise sleep of d and returns the channel that is
+// closed once time.Now() has reached its deadline.
+func (p *pacer) after(d time.Duration) <-chan struct{} {
+	w := wake{at: time.Now().Add(d), done: make(chan struct{})}
+	p.mu.Lock()
+	heap.Push(&p.pending, w)
+	first := p.pending[0].done == w.done
+	p.mu.Unlock()
+	if first {
+		select {
+		case p.kick <- struct{}{}:
+		default:
+		}
+	}
+	return w.done
+}
+
+// run wakes every due sleeper, then waits for the next deadline: parked
+// while nothing is pending, on a timer while the deadline is more than the
+// slack away, and yield-spinning inside the slack.
+func (p *pacer) run() {
+	slack := calibrateSlack()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	for {
+		p.mu.Lock()
+		now := time.Now()
+		for len(p.pending) > 0 && !now.Before(p.pending[0].at) {
+			close(heap.Pop(&p.pending).(wake).done)
+		}
+		idle := len(p.pending) == 0
+		var wait time.Duration
+		if !idle {
+			wait = p.pending[0].at.Sub(now)
+		}
+		p.mu.Unlock()
+		switch {
+		case idle:
+			<-p.kick
+		case wait > slack:
+			// A tick left over from a stopped timer, like a spare
+			// kick, only costs one extra pass.
+			timer.Reset(wait - slack)
+			select {
+			case <-timer.C:
+			case <-p.kick:
+				timer.Stop()
+			}
+		default:
+			runtime.Gosched()
+		}
+	}
+}
+
+// SleepPrecise sleeps for d and returns once time.Now() has reached the
+// deadline, with sub-millisecond accuracy. It is the phase-replay primitive
+// behind profile jobs and the load generator's arrival pacing.
 func SleepPrecise(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	slackOnce.Do(calibrateSlack)
-	deadline := time.Now().Add(d)
-	if d > sleepSlack {
-		time.Sleep(d - sleepSlack)
-	}
-	for time.Now().Before(deadline) {
-		runtime.Gosched()
+	if d > 0 {
+		<-pace.after(d)
 	}
 }
 
