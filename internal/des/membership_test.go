@@ -48,6 +48,18 @@ func shardJobEvents(t *testing.T, log string, cutoff time.Duration) (before, aft
 	return before, after
 }
 
+// movedClasses lists the classes among the first n whose keys the ranges
+// re-home.
+func movedClasses(ranges []ring.Range, n int) []int {
+	var out []int
+	for class := 0; class < n; class++ {
+		if ring.Covers(ranges, ring.Hash(workload.ClassKey(class))) {
+			out = append(out, class)
+		}
+	}
+	return out
+}
+
 // TestClusterJoinMovesOnlyPredictedKeys is the DES half of the elastic
 // acceptance: a scheduled join shifts exactly the classes the ring diff
 // predicts onto the joiner — nothing routes there before the join event,
@@ -58,6 +70,19 @@ func TestClusterJoinMovesOnlyPredictedKeys(t *testing.T) {
 	sc := clusterScenario(2, 2000, 11)
 	sc.Cluster.Events = []workload.MemberEvent{
 		{Kind: workload.JoinEvent, Shard: 2, At: workload.Duration(joinAt)},
+	}
+	old := initialRing(sc)
+	grown := old.With(workload.ShardName(2))
+	moved := ring.Moved(old, grown)
+	// Which classes the join re-homes is the ring's choice: grow the mix
+	// until the diff moves one, so the joiner has traffic to take.
+	for len(sc.Mix) < 8 && len(movedClasses(moved, len(sc.Mix))) == 0 {
+		sc.Mix = append(sc.Mix, workload.JobClass{
+			Name: fmt.Sprintf("x%d", len(sc.Mix)), Weight: 1, Profile: sc.Mix[0].Profile,
+		})
+	}
+	if len(movedClasses(moved, len(sc.Mix))) == 0 {
+		t.Fatalf("precondition: joining shard 2 re-homes none of %d classes — the test would check nothing", len(sc.Mix))
 	}
 
 	var log bytes.Buffer
@@ -85,9 +110,6 @@ func TestClusterJoinMovesOnlyPredictedKeys(t *testing.T) {
 	}
 
 	// Per-class placement must match the ring diff exactly.
-	old := initialRing(sc)
-	grown := old.With(workload.ShardName(2))
-	moved := ring.Moved(old, grown)
 	for class := range sc.Mix {
 		key := workload.ClassKey(class)
 		owner := old.Owner(key)
@@ -121,8 +143,11 @@ func TestClusterJoinMovesOnlyPredictedKeys(t *testing.T) {
 // job starts on the drained shard after the event.
 func TestClusterDrainGraceful(t *testing.T) {
 	const drainAt = 100 * time.Millisecond
-	const victim = 2 // owner of every class key at 3 members
 	sc := clusterScenario(3, 2000, 17)
+	full := initialRing(sc)
+	victim := full.Owner(workload.ClassKey(0)) // loaded: home to class 0
+	rest := full.Without(victim)
+	moved := ring.Moved(full, rest)
 	sc.Cluster.Events = []workload.MemberEvent{
 		{Kind: workload.DrainEvent, Shard: victim, At: workload.Duration(drainAt)},
 	}
@@ -159,15 +184,8 @@ func TestClusterDrainGraceful(t *testing.T) {
 		}
 	}
 	// Survivors inherit the victim's classes per the ring diff.
-	full := initialRing(sc)
-	rest := full.Without(victim)
-	moved := ring.Moved(full, rest)
-	for class := range sc.Mix {
-		key := workload.ClassKey(class)
-		if !ring.Covers(moved, ring.Hash(key)) {
-			continue
-		}
-		name := rest.Lookup(key)
+	for _, class := range movedClasses(moved, len(sc.Mix)) {
+		name := rest.Lookup(workload.ClassKey(class))
 		idx := -1
 		for x := 0; x < 3; x++ {
 			if x != victim && workload.ShardName(x) == name {

@@ -6,6 +6,10 @@
 // That bounded movement is what keeps each shard's embedding cache hot
 // across rebalances.
 //
+// Virtual-node names and keys pass through one mixed hash (FNV-1a, then the
+// splitmix64 finalizer), so each member's arcs sum to near its fair share
+// of the circle.
+//
 // Everything is deterministic: the same member list and the same key always
 // resolve to the same owner, on every box and at every GOMAXPROCS — the
 // property that lets the discrete-event simulator predict the exact shard
@@ -18,12 +22,10 @@ import (
 )
 
 // DefaultReplicas is the virtual-node count per member; membership changes
-// cost O(replicas · log points). 64 points per member do not balance
-// ownership: the bare FNV-1a point names cluster, so of two members the
-// second owns about 9% of the circle. Measured over 200,000 random keys the
-// two split 0.91/0.09, and the benchmark's 32 library keys split 29/3.
-// ROADMAP item 2 ("The ring gives one of two shards 91% of all keys") holds
-// the fix.
+// cost O(replicas · log points). At 64 points each, every member of a 2–8
+// member ring owns between 0.78 and 1.19 times its fair share of the circle
+// (TestArcShareBalanced pins [0.7, 1.3]), and the benchmark's 32 library
+// keys split 16/16 over two members.
 const DefaultReplicas = 64
 
 // point is one virtual node: a position on the hash circle owned by member
@@ -121,8 +123,12 @@ func (r *Ring) Without(idx int) *Ring {
 	return New(rest, replicas)
 }
 
-// hash64 is FNV-1a, inlined so the ring has no dependencies and the hash
-// can never drift between the router and the simulator.
+// hash64 is FNV-1a followed by the splitmix64 finalizer, inlined so the
+// ring has no dependencies and the hash can never drift between the router
+// and the simulator. Bare FNV-1a leaves names that differ only in their last
+// bytes close together on the circle: its vnode points cluster, and one of
+// two members owned 91% of it. The finalizer spreads every bit of the
+// FNV-1a state over the whole word, which breaks that clustering.
 func hash64(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -133,10 +139,15 @@ func hash64(s string) uint64 {
 		h ^= uint64(s[i])
 		h *= prime64
 	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
 	return h
 }
 
-// Hash exposes the ring's key hash for callers that need to pre-hash or
-// bucket keys consistently with ownership (the router's benchmark suite
-// measures exactly this path).
+// Hash exposes the ring's key hash, the one Owner places keys with, so
+// callers can test a key against Moved's ranges (the router does, to pick
+// which cached keys a membership change re-homes).
 func Hash(s string) uint64 { return hash64(s) }

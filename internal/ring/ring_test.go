@@ -53,9 +53,10 @@ func TestDuplicateMemberPanics(t *testing.T) {
 	New([]string{"a", "b", "a"}, 4)
 }
 
-// TestBalancedOwnership checks the virtual nodes spread keys within a
-// sane imbalance: no shard owns more than ~2.2x its fair share at the
-// default replica count.
+// TestBalancedOwnership checks the virtual nodes spread keys evenly: at
+// the default replica count every shard owns within [0.7, 1.3]x its fair
+// share of 50k sampled keys (the mixed hash reads 0.85–1.10x; bare FNV-1a
+// read 0.31–1.95x).
 func TestBalancedOwnership(t *testing.T) {
 	const shards, keys = 8, 50_000
 	r := New(members(shards), 0)
@@ -65,8 +66,31 @@ func TestBalancedOwnership(t *testing.T) {
 	}
 	fair := float64(keys) / shards
 	for s, c := range counts {
-		if ratio := float64(c) / fair; ratio > 2.2 || ratio < 0.3 {
+		if ratio := float64(c) / fair; ratio > 1.3 || ratio < 0.7 {
 			t.Errorf("shard %d owns %d keys (%.2fx fair share)", s, c, ratio)
+		}
+	}
+}
+
+// TestArcShareBalanced measures each member's exact share of the hash
+// circle, from the point set itself: the arc (previous point, point] belongs
+// to the point's member, and arc lengths are summed over the 2^64 circle as
+// Frac sums them. At the default replica count every member of a 2–8 member
+// ring must own [0.7, 1.3]x its fair share. The mixed hash reads 0.78–1.19x;
+// bare FNV-1a, whose vnode names cluster, read 0.18–1.82x at 2 members.
+func TestArcShareBalanced(t *testing.T) {
+	for n := 2; n <= 8; n++ {
+		r := New(members(n), 0)
+		share := make([]float64, n)
+		for i, p := range r.points {
+			prev := r.points[(i+len(r.points)-1)%len(r.points)].hash
+			share[p.idx] += float64(p.hash-prev) / (1 << 63) / 2
+		}
+		fair := 1.0 / float64(n)
+		for m, s := range share {
+			if ratio := s / fair; ratio < 0.7 || ratio > 1.3 {
+				t.Errorf("members=%d: %s owns %.3f of the circle (%.2fx fair share)", n, r.members[m], s, ratio)
+			}
 		}
 	}
 }

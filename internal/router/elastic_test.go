@@ -22,6 +22,19 @@ import (
 // match the grown ring exactly (only ring-predicted keys change owner), and
 // responses must carry the new epoch.
 func TestRouterElasticAddUnderLoad(t *testing.T) {
+	old := clusterRing(2)
+	grown := old.With(workload.ShardName(2))
+	moved := ring.Moved(old, grown)
+	// Which classes the join re-homes is the ring's choice: load as many
+	// classes as it takes for the diff to move one onto the joiner.
+	classes := 3
+	for classes < 8 && !classMoves(moved, classes) {
+		classes++
+	}
+	if !classMoves(moved, classes) {
+		t.Fatalf("precondition: joining shard 2 re-homes none of %d classes — the test would check nothing", classes)
+	}
+
 	addrs, _ := startShards(t, 3) // third backend is live but outside the router
 	rt, err := New(Options{Shards: addrs[:2], PingEvery: -1, QueueDepth: 64})
 	if err != nil {
@@ -53,7 +66,7 @@ func TestRouterElasticAddUnderLoad(t *testing.T) {
 				default:
 				}
 				submitted.Add(1)
-				if _, err := c.Do(profileReq((w + i) % 3)); err != nil {
+				if _, err := c.Do(profileReq((w + i) % classes)); err != nil {
 					failed.Add(1)
 				} else {
 					completed.Add(1)
@@ -103,16 +116,13 @@ func TestRouterElasticAddUnderLoad(t *testing.T) {
 
 	// Post-flip ownership is exactly the grown ring's, and every moved
 	// class is one the diff predicted.
-	old := clusterRing(2)
-	grown := old.With(workload.ShardName(2))
-	moved := ring.Moved(old, grown)
 	c, err := service.Dial(front.String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	joinerServed := false
-	for class := 0; class < 3; class++ {
+	for class := 0; class < classes; class++ {
 		resp, err := c.Do(profileReq(class))
 		if err != nil {
 			t.Fatalf("post-join class %d: %v", class, err)
@@ -139,6 +149,16 @@ func TestRouterElasticAddUnderLoad(t *testing.T) {
 	if !joinerServed {
 		t.Error("no class re-homed to the joiner — the transition moved nothing")
 	}
+}
+
+// classMoves reports whether the ranges re-home any of the first n classes.
+func classMoves(ranges []ring.Range, n int) bool {
+	for class := 0; class < n; class++ {
+		if ring.Covers(ranges, ring.Hash(workload.ClassKey(class))) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestRouterDrainShardGraceful: DrainShard retires a loaded shard without

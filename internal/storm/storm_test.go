@@ -3,8 +3,10 @@ package storm
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -276,10 +278,66 @@ func TestObsReconciliation(t *testing.T) {
 	}
 }
 
+// unloadedTargets names each shard fault victim and each joiner that is the
+// ring home of no mix class at the membership it meets: a fault there
+// aborts nothing and a joiner there takes no traffic, so the scenario would
+// not exercise what it names. Events are strictly ordered in time and joins
+// claim fresh slots in order, so appending a joiner keeps the slots
+// ascending.
+func unloadedTargets(sc *workload.Scenario) []string {
+	if sc.Cluster == nil {
+		return nil
+	}
+	slots := make([]int, sc.ShardCount())
+	for i := range slots {
+		slots[i] = i
+	}
+	isHome := func(shard int) bool {
+		table := workload.NewRouteTable(slots, sc.Cluster.Replicas)
+		for class := range sc.Mix {
+			if home, _ := table.Route(workload.ClassKey(class), 0, -1, nil); home == shard {
+				return true
+			}
+		}
+		return false
+	}
+	var out []string
+	var fault *workload.ShardFault
+	if sc.HasShardFault() {
+		fault = sc.Faults.Shard
+	}
+	checkFault := func() {
+		if !isHome(fault.Shard) {
+			out = append(out, fmt.Sprintf("shard fault victim %d at %d members", fault.Shard, len(slots)))
+		}
+		fault = nil
+	}
+	for _, e := range sc.Cluster.Events {
+		if fault != nil && fault.At < e.At {
+			checkFault()
+		}
+		switch e.Kind {
+		case workload.JoinEvent:
+			slots = append(slots, e.Shard)
+			if !isHome(e.Shard) {
+				out = append(out, fmt.Sprintf("joiner %d at %d members", e.Shard, len(slots)))
+			}
+		case workload.DrainEvent:
+			slots = slices.DeleteFunc(slots, func(s int) bool { return s == e.Shard })
+		}
+	}
+	if fault != nil {
+		checkFault()
+	}
+	return out
+}
+
 // TestRealCorpusShape validates the shipped scenarios/ corpus without live
 // replay: every file decodes, declares a band, and its DES prediction
-// completes with a conserved ledger. The live halves are covered by the
-// `splitexec storm -quick` CI smoke and the full soak run.
+// completes with a conserved ledger. Every shard fault victim and every
+// joiner is the ring home of at least one class at the membership it meets.
+// The live halves are covered by the `splitexec storm -quick` CI smoke and
+// the full soak run.
 func TestRealCorpusShape(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
 	if err != nil || len(files) < 8 {
@@ -301,6 +359,9 @@ func TestRealCorpusShape(t *testing.T) {
 		seen[sc.Name] = true
 		if sc.Band == nil {
 			t.Errorf("%s: corpus scenarios must declare their acceptance band", filepath.Base(f))
+		}
+		for _, target := range unloadedTargets(sc) {
+			t.Errorf("%s: %s is the ring home of no class", filepath.Base(f), target)
 		}
 		r, err := des.Simulate(sc, des.Options{})
 		if err != nil {
