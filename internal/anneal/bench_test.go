@@ -51,6 +51,33 @@ func BenchmarkKernelMetropolis(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelEmbedded times one read of the scalar kernel (256 sweeps,
+// the service's schedule) on the 32 benchmark-shaped hardware programs of
+// the golden corpus, round robin: MAX-CUT graphs of 10–16 vertices embedded
+// on C(8,8,4), about 32 active spins of 512. A read includes the per-read
+// set-up the collection path runs: the random initial state, the fields
+// and the energy.
+func BenchmarkKernelEmbedded(b *testing.B) {
+	programs := embeddedPrograms(b, 32)
+	samplers := make([]*Sampler, len(programs))
+	active := 0
+	for p, m := range programs {
+		samplers[p] = NewSampler(m, SamplerOptions{Sweeps: 256})
+		active += samplers[p].ActiveSpins()
+	}
+	dst := make([]int8, programs[0].Dim())
+	for _, s := range samplers {
+		s.annealInto(dst, 0) // grow each sampler's scratch out of the timed region
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		samplers[i%len(samplers)].annealInto(dst, int64(i))
+	}
+	proposals := float64(b.N) * 256 * float64(active) / float64(len(samplers))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/proposals, "ns/proposal")
+}
+
 // BenchmarkKernelBitParallel times the multi-spin word kernels through the
 // public collection path: one iteration is a full 64-replica word, so the
 // proposal count is 64× the scalar kernel's per anneal. The ±J Chimera

@@ -66,12 +66,48 @@ func (o SamplerOptions) withDefaults(m *qubo.Ising) SamplerOptions {
 // over the same compiled program for parallel readout.
 type Sampler struct {
 	prog   *qubo.Compiled
+	act    activeProgram // prog renumbered over its active spins: what run sweeps
 	opts   SamplerOptions
 	betas  []float64
-	fields []float64 // scratch: incremental local fields, one per spin
-	m      []float64 // scratch: spins as ±1.0, the kernel's working state
+	fields []float64 // scratch: incremental local fields, one per active spin
+	m      []float64 // scratch: active spins as ±1.0, the kernel's working state
 	thr    []float64 // scratch: per-sweep acceptance thresholds Exp(1)/β
 	bit    bitState  // scratch: multi-spin kernel state (BitParallel)
+}
+
+// activeProgram is a compiled program renumbered over its active spins:
+// local spin k is prog.Active[k], and the CSR rows hold local column
+// indices. A hardware program uses a few chains of a large topology (about
+// 32 of C(8,8,4)'s 512 qubits on the service's jobs), so sweeping this copy
+// leaves the frozen spins out of every per-read pass and the sweep loop
+// without an index indirection. Like prog, it is read-only between loads.
+type activeProgram struct {
+	h      []float64
+	rowPtr []int32
+	col    []int32 // local column indices
+	val    []float64
+	local  []int32 // load scratch: global → local index of the active spins
+}
+
+// build renumbers prog over its active spins into a's storage. Every
+// neighbor of an active spin is active, so each column has a local index.
+func (a *activeProgram) build(prog *qubo.Compiled) {
+	a.local = slices.Grow(a.local[:0], prog.Dim())[:prog.Dim()]
+	for k, i := range prog.Active {
+		a.local[i] = int32(k)
+	}
+	a.h = a.h[:0]
+	a.rowPtr = append(a.rowPtr[:0], 0)
+	a.col, a.val = a.col[:0], a.val[:0]
+	for _, i := range prog.Active {
+		a.h = append(a.h, prog.H[i])
+		lo, hi := prog.RowPtr[i], prog.RowPtr[i+1]
+		for _, j := range prog.Col[lo:hi] {
+			a.col = append(a.col, a.local[j])
+		}
+		a.val = append(a.val, prog.Val[lo:hi]...)
+		a.rowPtr = append(a.rowPtr, int32(len(a.col)))
+	}
 }
 
 // NewSampler compiles the model for repeated annealing. Spins with zero bias
@@ -89,6 +125,7 @@ func NewSampler(m *qubo.Ising, opts SamplerOptions) *Sampler {
 func (s *Sampler) load(m *qubo.Ising, opts SamplerOptions) {
 	opts = opts.withDefaults(m)
 	s.prog.Recompile(m)
+	s.act.build(s.prog)
 	s.opts = opts
 	s.bit = bitState{}
 	if opts.BitParallel {
@@ -168,7 +205,9 @@ func (s *Sampler) AnnealFrom(spins []int8, rng *rand.Rand) float64 {
 	return s.run(spins, &kr)
 }
 
-// run is the compiled Metropolis kernel. Local fields are initialized once
+// run is the compiled Metropolis kernel. It sweeps the program renumbered
+// over its active spins (activeProgram), so the frozen spins of a sparse
+// hardware program cost nothing per read. Local fields are initialized once
 // (O(|E|)) and then maintained incrementally on accepted flips, so each
 // proposal costs O(1): one field read for ΔE plus one threshold compare for
 // the acceptance test. The test uses the exact identity
@@ -183,58 +222,52 @@ func (s *Sampler) AnnealFrom(spins []int8, rng *rand.Rand) float64 {
 // register allocator keeps the kernel state out of memory) and replaces the
 // math.Exp per uphill proposal of the old kernel (≈46% of its time) with
 // one load and compare. The final energy is tracked incrementally from the
-// initial EnergyFromFields, so readout never re-evaluates the model.
+// initial E = Offset + ½ Σ s_i·(h_i + field_i), so readout never
+// re-evaluates the model.
+//
+// The result is bit-identical to sweeping all of prog: proposals run in the
+// same order on the same draws and the same float operations, and a frozen
+// spin's energy term is ±0, which leaves a sum that starts at +0 unchanged.
 func (s *Sampler) run(spins []int8, kr *kernelRand) float64 {
-	prog := s.prog
-	n := prog.Dim()
-	s.fields = prog.LocalFields(spins, s.fields)
-	fields := s.fields
+	a := &s.act
+	active := s.prog.Active
+	n := len(active)
 	if cap(s.m) < n {
 		s.m = make([]float64, n)
+		s.fields = make([]float64, n)
+	}
+	if cap(s.thr) < n {
 		s.thr = make([]float64, n)
 	}
 	// The kernel works on ±1.0 floats so the sweep loop never converts int8;
 	// spins is read once here and written back once at the end.
 	m := s.m[:n]
-	for i, sp := range spins {
-		m[i] = float64(sp)
+	for k, i := range active {
+		m[k] = float64(spins[i])
 	}
-	energy := prog.EnergyFromFields(spins, fields)
-	// Length ties for bounds-check elimination in the sweep loops.
-	fields = fields[:len(m)]
-	rowPtr := prog.RowPtr[:len(m)+1]
-	col := prog.Col
-	val := prog.Val[:len(col)]
-	active := prog.Active
-	dense := len(active) == n
-	thr := s.thr[:len(active)] // one acceptance threshold per proposal
+	// Length ties for bounds-check elimination in the sweep loop.
+	fields := s.fields[:len(m)]
+	h := a.h[:len(m)]
+	rowPtr := a.rowPtr[:len(m)+1]
+	col := a.col
+	val := a.val[:len(col)]
+	thr := s.thr[:len(m)] // one acceptance threshold per proposal
+	e := 0.0
+	for i, mi := range m {
+		f := h[i]
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			f += val[k] * m[col[k]]
+		}
+		fields[i] = f
+		e += mi * (h[i] + f)
+	}
+	energy := s.prog.Offset + 0.5*e
 	for _, beta := range s.betas {
 		kr.fillExp(thr, 1/beta)
-		// Two copies of the sweep body: models whose spins are all active
-		// (logical models sampled directly) skip the Active indirection and
-		// its bounds checks; sparse hardware programs (a few chains on a
-		// large topology) walk the active list. Keep the bodies in sync.
-		if dense {
-			thr := thr[:len(m)]
-			for i := range m {
-				mi := m[i]
-				dE := -2 * mi * fields[i]
-				if thr[i] <= dE {
-					continue // rejected uphill move
-				}
-				m[i] = -mi
-				energy += dE
-				d := -2 * mi
-				for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-					fields[col[k]] += d * val[k]
-				}
-			}
-			continue
-		}
-		for ii, i := range active {
+		for i := range m {
 			mi := m[i]
 			dE := -2 * mi * fields[i]
-			if thr[ii] <= dE {
+			if thr[i] <= dE {
 				continue // rejected uphill move
 			}
 			m[i] = -mi
@@ -245,8 +278,8 @@ func (s *Sampler) run(spins []int8, kr *kernelRand) float64 {
 			}
 		}
 	}
-	for i := range spins {
-		spins[i] = int8(m[i]) // ±1.0 → ±1, branchless
+	for k, i := range active {
+		spins[i] = int8(m[k]) // ±1.0 → ±1, branchless
 	}
 	return energy
 }

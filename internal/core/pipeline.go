@@ -243,8 +243,10 @@ func (s *Solver) SolveIsing(logical *qubo.Ising) (*Solution, error) {
 	sol.Embedding = vm
 	sol.EmbedStats = stats
 
+	// findEmbedding validated vm against g and the hardware, on the cache
+	// hit or in the CMR search: parameter setting need not again.
 	setStart := time.Now()
-	em, err := embed.SetParameters(logical, vm, s.hw, s.cfg.ChainStrength)
+	em, err := embed.SetValidatedParameters(logical, vm, s.hw, s.cfg.ChainStrength)
 	if err != nil {
 		return nil, fmt.Errorf("core: stage 1 parameter setting: %w", err)
 	}
@@ -339,7 +341,8 @@ func (s *Solver) requiredReads() (int, float64, error) {
 
 // findEmbedding consults the off-line cache when configured, falling back to
 // the CMR heuristic and populating the cache on success. It hashes g once,
-// for both the lookup and the store.
+// for both the lookup and the store. Every model it returns has passed
+// graph.ValidateMinor against g and the hardware.
 func (s *Solver) findEmbedding(g *graph.Graph, sol *Solution) (graph.VertexModel, embed.Stats, error) {
 	var key string
 	if s.cfg.Cache != nil {

@@ -38,6 +38,16 @@ func SetParameters(logical *qubo.Ising, vm graph.VertexModel, hw *graph.Graph, c
 	if err := graph.ValidateMinor(logical.Graph(), hw, vm, false); err != nil {
 		return nil, fmt.Errorf("embed: invalid vertex model: %w", err)
 	}
+	return SetValidatedParameters(logical, vm, hw, chainStrength)
+}
+
+// SetValidatedParameters is SetParameters for a vertex model that has
+// already passed graph.ValidateMinor against logical.Graph() and hw, as
+// every model of the split-execution pipeline has: a cache hit is validated
+// on lookup and the CMR search validates its own result. It skips the
+// second validation and the logical graph it would rebuild. A model that
+// has not been validated must go through SetParameters.
+func SetValidatedParameters(logical *qubo.Ising, vm graph.VertexModel, hw *graph.Graph, chainStrength float64) (*Embedded, error) {
 	if chainStrength <= 0 {
 		chainStrength = DefaultChainStrengthFactor * logical.MaxAbsCoefficient()
 		if chainStrength == 0 {

@@ -83,8 +83,10 @@ func FuzzDecodeProgram(f *testing.F) {
 }
 
 // FuzzReadMessage: arbitrary byte streams — corrupt length prefixes,
-// truncated frames, junk JSON — must error or decode cleanly, never panic,
-// and never allocate past the message limit.
+// truncated frames, junk JSON, tagged binary frames — must error or decode
+// cleanly, never panic, and never allocate past the message limit. A tagged
+// frame never decodes into a type without a binary form, and one that
+// decodes into a type with one re-encodes to a frame that decodes equal.
 func FuzzReadMessage(f *testing.F) {
 	frame := func(payload []byte) []byte {
 		var hdr [4]byte
@@ -97,17 +99,37 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0, 0})                            // truncated header
 	f.Add(frame([]byte(`{"op":"execute"}`))[:6])   // truncated body
 	f.Add(append(frame([]byte(`{}`)), 0xAA, 0xBB)) // trailing garbage
+	f.Add(frame([]byte{BinaryTag}))                // tag alone
+	f.Add(frame([]byte{BinaryTag, 0x2A}))          // a binMsg
+	f.Add(frame([]byte{BinaryTag, 0x80}))          // truncated varint
+	f.Add(frame([]byte{BinaryTag, 0x2A, 0x00}))    // trailing byte
+	f.Add(frame([]byte{BinaryTag, 0x2A})[:5])      // truncated body
 	f.Fuzz(func(t *testing.T, stream []byte) {
+		tagged := len(stream) > 4 && stream[4] == BinaryTag
 		var req Request
 		err := ReadMessage(bytes.NewReader(stream), &req)
-		if err != nil {
+		if err == nil {
+			if tagged {
+				t.Fatal("a binary frame decoded into a type without a binary form")
+			}
+			// A successful read implies a well-formed frame: re-encoding
+			// the decoded value must itself frame cleanly.
+			var buf bytes.Buffer
+			if err := WriteMessage(&buf, req); err != nil {
+				t.Fatalf("re-encode of decoded message failed: %v", err)
+			}
+		}
+		var m binMsg
+		if err := ReadMessage(bytes.NewReader(stream), &m); err != nil {
 			return
 		}
-		// A successful read implies a well-formed frame: re-encoding the
-		// decoded value must itself frame cleanly.
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, req); err != nil {
-			t.Fatalf("re-encode of decoded message failed: %v", err)
+		if err := WriteMessage(&buf, m); err != nil {
+			t.Fatalf("re-encode of decoded binMsg failed: %v", err)
+		}
+		var again binMsg
+		if err := ReadMessage(&buf, &again); err != nil || again != m {
+			t.Fatalf("binMsg %+v re-read as %+v (%v)", m, again, err)
 		}
 	})
 }

@@ -9,8 +9,12 @@
 // the server reports both its own QPU-model time and the client observes
 // wall-clock round trips, making the comparison direct).
 //
-// The wire protocol is length-prefixed JSON over TCP: one request, one
-// response per message, multiple messages per connection. The package also
+// The wire protocol is length-prefixed frames over TCP: one request, one
+// response per frame, multiple frames per connection. A frame's payload is
+// JSON, or — for message types that have one — a compact binary form that
+// opens with BinaryTag. The QPU protocol here (program, execute, status,
+// reset) is JSON only; the solver service's QUBO solves and their replies
+// have a binary form (internal/service). The package also
 // holds the wire's one server side (Endpoint, via Serve) and one client
 // side (Conn), which every TCP tier uses: the QPU server and Client here,
 // the solver service (`splitexec serve`) and the router (`splitexec route`)
@@ -156,42 +160,88 @@ func DecodeProgram(req Request) (*qubo.Ising, error) {
 	return m, nil
 }
 
-// WriteMessage frames v as length-prefixed JSON on w.
+// BinaryTag opens the payload of a binary frame. A JSON text starts with
+// whitespace or one of {["-0123456789tfn, never with 0x00, so the first
+// payload byte tells the two encodings apart.
+const BinaryTag = 0x00
+
+// A message type opts into binary frames by implementing both halves:
+// AppendWire appends the binary form (without the tag) to b, or reports
+// false when this value has none and travels as JSON; UnmarshalWire decodes
+// such a form, rejecting anything AppendWire cannot produce. A binary frame
+// needs a server that knows the form; JSON works with every server.
+type (
+	wireAppender    interface{ AppendWire(b []byte) ([]byte, bool) }
+	wireUnmarshaler interface{ UnmarshalWire(data []byte) error }
+)
+
+// WriteMessage frames v on w in one Write, header and payload together: in
+// binary form when v has one, as JSON otherwise.
 func WriteMessage(w io.Writer, v interface{}) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("qpuserver: encode: %w", err)
-	}
-	if len(payload) > MaxMessageBytes {
-		return fmt.Errorf("qpuserver: message of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
+	return writeFrame(w, v, true)
 }
 
-// ReadMessage reads one length-prefixed JSON message from r into v.
-func ReadMessage(r io.Reader, v interface{}) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
+// writeFrame writes v's frame, binary only when allowBinary is set and v
+// has a binary form.
+func writeFrame(w io.Writer, v interface{}, allowBinary bool) error {
+	var frame []byte
+	encoded := false
+	if m, ok := v.(wireAppender); ok && allowBinary {
+		// 512 bytes hold a benchmark-sized solve frame (a 16-variable
+		// request is 347) without regrowing.
+		frame, encoded = m.AppendWire(append(make([]byte, 4, 512), BinaryTag))
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	if !encoded {
+		payload, err := json.Marshal(v)
+		if err != nil {
+			return fmt.Errorf("qpuserver: encode: %w", err)
+		}
+		frame = append(make([]byte, 4, 4+len(payload)), payload...)
+	}
+	n := len(frame) - 4
 	if n > MaxMessageBytes {
 		return fmt.Errorf("qpuserver: message of %d bytes exceeds limit", n)
 	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
+	return err
+}
+
+// ReadMessage reads one frame from r into v, JSON or binary. A binary frame
+// for a type without a binary form is an error, as malformed JSON is.
+func ReadMessage(r io.Reader, v interface{}) error {
+	_, err := readFrame(r, v)
+	return err
+}
+
+// readFrame reads one frame into v and reports whether it was binary.
+func readFrame(r io.Reader, v interface{}) (bool, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return false, err
+	}
+	n := binary.BigEndian.Uint32(hdr[:])
+	if n > MaxMessageBytes {
+		return false, fmt.Errorf("qpuserver: message of %d bytes exceeds limit", n)
+	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
+		return false, err
+	}
+	if n > 0 && payload[0] == BinaryTag {
+		m, ok := v.(wireUnmarshaler)
+		if !ok {
+			return true, fmt.Errorf("qpuserver: decode: binary frame for %T, which has no binary form", v)
+		}
+		if err := m.UnmarshalWire(payload[1:]); err != nil {
+			return true, fmt.Errorf("qpuserver: decode: %w", err)
+		}
+		return true, nil
 	}
 	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("qpuserver: decode: %w", err)
+		return false, fmt.Errorf("qpuserver: decode: %w", err)
 	}
-	return nil
+	return false, nil
 }
 
 // validateProgramGraph optionally checks a program against a hardware

@@ -21,11 +21,13 @@ type Endpoint struct {
 }
 
 // Serve binds addr (e.g. "127.0.0.1:0") and answers framed requests with
-// handle until Close. It returns once the listener is bound; serving
-// continues in the background. Connections beyond maxConns are closed as
-// soon as they are accepted: each connection may hold a MaxMessageBytes
-// decode in flight, so the cap bounds the memory a client population can
-// commit. A connection whose frame fails to decode is dropped.
+// handle until Close. Each reply goes out in the encoding its request
+// arrived in: binary for a binary frame (when the reply has a binary form),
+// JSON for JSON. It returns once the listener is bound; serving continues
+// in the background. Connections beyond maxConns are closed as soon as they
+// are accepted: each connection may hold a MaxMessageBytes decode in
+// flight, so the cap bounds the memory a client population can commit. A
+// connection whose frame fails to decode is dropped.
 func Serve[Req, Resp any](addr string, maxConns int, handle func(Req) Resp) (*Endpoint, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -50,11 +52,12 @@ func Serve[Req, Resp any](addr string, maxConns int, handle func(Req) Resp) (*En
 				defer e.untrack(conn)
 				for {
 					var req Req
-					if err := ReadMessage(conn, &req); err != nil {
+					bin, err := readFrame(conn, &req)
+					if err != nil {
 						return // EOF or framing error: drop the connection
 					}
 					resp := handle(req)
-					if err := WriteMessage(conn, &resp); err != nil {
+					if err := writeFrame(conn, &resp, bin); err != nil {
 						return
 					}
 				}
@@ -162,9 +165,9 @@ func (c *Conn) SetTimeout(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// RoundTrip writes req as one frame and decodes the reply frame into resp.
-// Any I/O or framing error retires the connection; the next round trip
-// redials.
+// RoundTrip writes req as one frame, binary when its type has a binary
+// form, and decodes the reply frame into resp. Any I/O or framing error
+// retires the connection; the next round trip redials.
 func (c *Conn) RoundTrip(req, resp any) error {
 	c.opMu.Lock()
 	defer c.opMu.Unlock()

@@ -1,12 +1,18 @@
 package router
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/splitexec/splitexec/internal/arch"
+	"github.com/splitexec/splitexec/internal/qpuserver"
 	"github.com/splitexec/splitexec/internal/qubo"
 	"github.com/splitexec/splitexec/internal/ring"
 	"github.com/splitexec/splitexec/internal/service"
@@ -500,5 +506,72 @@ func TestRouterWireRoundTrip(t *testing.T) {
 	}
 	if owners != 1 {
 		t.Errorf("repeat solves of one problem spread over %d shards", owners)
+	}
+}
+
+// TestRouterAnswersBothEncodings: one QUBO sent through a fresh router as
+// a JSON frame and as a binary frame gets the same answer and the same
+// routing, each reply in its request's encoding. The router decodes the
+// request and forwards it to the shard in binary either way.
+func TestRouterAnswersBothEncodings(t *testing.T) {
+	q := qubo.NewQUBO(4)
+	q.Set(0, 0, -1)
+	q.Set(0, 1, 2)
+	q.Set(1, 2, -1.5)
+	q.Set(2, 3, 1)
+	req := service.EncodeQUBO(q)
+	jsonPayload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bin bytes.Buffer
+	if err := qpuserver.WriteMessage(&bin, req); err != nil {
+		t.Fatal(err)
+	}
+	var answers []service.SolveResponse
+	for _, frame := range [][]byte{append(binary.BigEndian.AppendUint32(nil, uint32(len(jsonPayload))), jsonPayload...), bin.Bytes()} {
+		addrs, _ := startShards(t, 2)
+		rt, err := New(Options{Shards: addrs, PingEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front, err := rt.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := net.Dial("tcp", front.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		var hdr [4]byte
+		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, binary.BigEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(conn, payload); err != nil {
+			t.Fatal(err)
+		}
+		if payload[0] != frame[4] {
+			t.Fatalf("request opening with %#x answered with %#x", frame[4], payload[0])
+		}
+		var resp service.SolveResponse
+		if err := qpuserver.ReadMessage(bytes.NewReader(append(hdr[:], payload...)), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.OK || resp.Routing == nil {
+			t.Fatalf("bad routed reply: %+v", resp)
+		}
+		answers = append(answers, resp)
+		conn.Close()
+		rt.Drain()
+	}
+	a, b := answers[0], answers[1]
+	if a.Index != b.Index || a.Energy != b.Energy || !bytes.Equal(a.Binary, b.Binary) ||
+		a.Reads != b.Reads || a.BrokenChains != b.BrokenChains || *a.Routing != *b.Routing {
+		t.Fatalf("JSON and binary frames got different answers:\n  json   %+v %+v\n  binary %+v %+v", a, *a.Routing, b, *b.Routing)
 	}
 }

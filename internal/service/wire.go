@@ -13,14 +13,18 @@ import (
 	"github.com/splitexec/splitexec/internal/sched"
 )
 
-// The solver service speaks the same length-prefixed JSON framing as the
-// QPU server, one level up the stack, through the same two halves of the
-// wire: its front-end is a qpuserver.Endpoint and its Client a
-// qpuserver.Conn. Where qpud serves annealing reads over a hardware Ising
-// program, this front-end serves complete split-execution solves over a
-// QUBO. A connection carries any number of request/response pairs;
-// requests from concurrent connections interleave through the service's
-// queue, and queue backpressure propagates to the submitting connection.
+// The solver service speaks the same length-prefixed framing as the QPU
+// server, one level up the stack, through the same two halves of the wire:
+// its front-end is a qpuserver.Endpoint and its Client a qpuserver.Conn.
+// Where qpud serves annealing reads over a hardware Ising program, this
+// front-end serves complete split-execution solves over a QUBO. A QUBO
+// solve and its reply travel in a compact binary form (codec.go); profile,
+// ping and admin frames are JSON. A client sends the binary form, which
+// needs a server that knows it; a JSON frame works with every server, and
+// each reply goes back in its request's encoding. A connection carries any
+// number of request/response pairs; requests from concurrent connections
+// interleave through the service's queue, and queue backpressure
+// propagates to the submitting connection.
 
 // MaxWireDim bounds the problem dimension a serve front-end accepts. A
 // decoded QUBO allocates O(dim²) coefficients from an O(1)-byte request, so
@@ -430,9 +434,11 @@ func (c *Client) Admin(a WireAdmin) (*WireAdminReply, error) {
 	return resp.Admin, nil
 }
 
-// Do round-trips an arbitrary request — the router tier forwards client
-// frames through this without re-encoding them. A response with OK false
-// is returned alongside the server error, exactly like the typed methods.
+// Do round-trips an arbitrary request, in binary when it has a binary form
+// and as JSON otherwise. The router tier decodes each client frame and
+// forwards the request through this, so it re-encodes it, and a JSON QUBO
+// request leaves the router in binary. A response with OK false is
+// returned alongside the server error, exactly like the typed methods.
 func (c *Client) Do(req SolveRequest) (SolveResponse, error) {
 	var resp SolveResponse
 	if err := c.conn.RoundTrip(req, &resp); err != nil {
